@@ -33,7 +33,7 @@ active-session gauges.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.ring import ring_hash, wire_routing_key
 from repro.sessions.service import SessionObservation, SessionScoringService
@@ -106,15 +106,33 @@ class ClusterSessionService:
     # scoring
 
     def observe_wire(self, wire: bytes, day=None) -> SessionObservation:
-        """Score one event envelope through its owning lane.
+        """Score one event envelope through its owning lane."""
+        return self.observe_many([wire], day=day)[0]
+
+    def observe_many(
+        self, wires: Sequence[bytes], day=None
+    ) -> List[SessionObservation]:
+        """Score a batch of event envelopes, each through its owning lane.
 
         The lane is chosen from the raw bytes exactly the way the
         router's session affinity would — no JSON parse on the hot
         path; malformed envelopes go to a deterministic lane and are
-        rejected there.
+        rejected there.  Each lane scores its share of the batch in
+        one call, in arrival order; answers come back in ``wires``
+        order.
         """
-        key = wire_routing_key(wire, "session")
-        return self._lanes[self._lane_key(key)].observe_wire(wire, day=day)
+        by_lane: Dict[str, List[int]] = {}
+        for index, wire in enumerate(wires):
+            lane = self._lane_key(wire_routing_key(wire, "session"))
+            by_lane.setdefault(lane, []).append(index)
+        results: List[Optional[SessionObservation]] = [None] * len(wires)
+        for lane, indices in by_lane.items():
+            observations = self._lanes[lane].observe_many(
+                [wires[i] for i in indices], day=day
+            )
+            for index, observation in zip(indices, observations):
+                results[index] = observation
+        return results  # type: ignore[return-value]
 
     def observe_event(self, event, day=None) -> SessionObservation:
         return self._lanes[self.lane_of(event.session_id)].observe_event(

@@ -12,9 +12,13 @@ many requests in flight per connection:
 * **batch coalescing** — ``POST /collect`` bodies from *all*
   connections land in one coalescing buffer; a batcher slices it into
   chunks and feeds them to the scoring service's widest interface
-  (``score_many`` on the cluster router, ``submit_wire`` pipelining on
-  the micro-batched runtime, ``score_wire`` otherwise) on a small
-  thread pool, several batches in flight at once;
+  (:func:`~repro.service.scoring.score_wires`) on a small thread pool,
+  several batches in flight at once;
+* **one ordered event lane** — ``POST /event`` bodies from all
+  connections land in a second buffer, scored one batch at a time
+  through the session layer's ``observe_many`` on the same pool, so
+  events are scored in the order they arrived and a session's
+  pipelined events can never race each other;
 * **read-side backpressure** — when the number of admitted-but-
   unanswered wires crosses the high watermark the server simply *stops
   reading sockets* (TCP flow control propagates to clients) until the
@@ -26,12 +30,15 @@ future into that connection's response lane, and a per-connection
 writer drains the lane in arrival order — so HTTP/1.1 pipelining is
 safe even though scoring completes out of order across batches.
 
-Endpoints other than ``POST /collect`` are delegated to the existing
+``POST /event`` answers are rendered by the WSGI app's own
+:func:`~repro.service.api.event_response`.  Every other endpoint (and
+an ``/event`` the app answers without scoring: session streaming off,
+an empty body) is delegated to the existing
 :class:`~repro.service.api.CollectionApp` through a minimal in-process
 WSGI bridge, so ``/health``, ``/metrics``, ``/cluster`` and the session
-endpoints behave identically under either front end.  ``GET /metrics``
-responses additionally carry this server's ``polygraph_ingest_*``
-counters.
+read endpoints behave identically under either front end.
+``GET /metrics`` responses additionally carry this server's
+``polygraph_ingest_*`` counters.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
+from repro.service.api import event_response
+from repro.service.scoring import score_wires
 
 __all__ = ["AsyncIngestServer"]
 
@@ -83,8 +92,9 @@ class AsyncIngestServer:
     ``service`` is anything speaking ``score_wire`` — the cluster
     router, the micro-batched runtime, or the per-request service; the
     widest batch interface it offers is used.  ``app`` is the WSGI
-    :class:`CollectionApp` wrapping the *same* service, used verbatim
-    for every endpoint except ``POST /collect``.
+    :class:`CollectionApp` wrapping the *same* service; its session
+    layer scores ``POST /event``, and it answers every endpoint other
+    than ``POST /collect`` and ``POST /event`` verbatim.
 
     The server owns one event-loop thread; ``start()``/``close()``
     manage it directly, while ``serve_forever()``/``shutdown()`` match
@@ -123,6 +133,8 @@ class AsyncIngestServer:
         self.collect_total = 0
         self.batches_total = 0
         self.batch_rows_total = 0
+        self.event_batches_total = 0
+        self.event_rows_total = 0
         self.backpressure_pauses = 0
         self.open_connections = 0
         # -- lifecycle --
@@ -135,6 +147,8 @@ class AsyncIngestServer:
         self._pending = 0
         self._buffer: List[Tuple[bytes, asyncio.Future]] = []
         self._wakeup: Optional[asyncio.Event] = None
+        self._events: List[Tuple[bytes, asyncio.Future]] = []
+        self._event_wakeup: Optional[asyncio.Event] = None
         self._drained: Optional[asyncio.Event] = None
         self._stop_async: Optional[asyncio.Event] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -201,6 +215,7 @@ class AsyncIngestServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
+        self._event_wakeup = asyncio.Event()
         self._drained = asyncio.Event()
         self._drained.set()
         self._stop_async = asyncio.Event()
@@ -218,18 +233,23 @@ class AsyncIngestServer:
             self._executor.shutdown(wait=False)
             return
         self.port = server.sockets[0].getsockname()[1]
-        batcher = asyncio.ensure_future(self._batch_loop())
+        batchers = [
+            asyncio.ensure_future(self._batch_loop()),
+            asyncio.ensure_future(self._event_loop()),
+        ]
         self._started.set()
         try:
             await self._stop_async.wait()
         finally:
             server.close()
             await server.wait_closed()
-            batcher.cancel()
-            for _, fut in self._buffer:
-                if not fut.done():
-                    fut.cancel()
-            self._buffer.clear()
+            for batcher in batchers:
+                batcher.cancel()
+            for buffer in (self._buffer, self._events):
+                for _, fut in buffer:
+                    if not fut.done():
+                        fut.cancel()
+                buffer.clear()
             self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
@@ -256,7 +276,21 @@ class AsyncIngestServer:
                 method, path, body, keep_alive = request
                 self.requests_total += 1
                 if method == "POST" and path == "/collect":
-                    await self._enqueue_collect(body, keep_alive, lane)
+                    if body:
+                        self.collect_total += 1
+                        await self._enqueue(
+                            self._buffer, self._wakeup, body, keep_alive, lane
+                        )
+                    else:
+                        await lane.put((_error(
+                            "400 Bad Request", "bad content length",
+                            keep_alive), keep_alive))
+                elif (method == "POST" and path == "/event" and body
+                      and getattr(self.app, "sessions", None) is not None):
+                    await self._enqueue(
+                        self._events, self._event_wakeup, body, keep_alive,
+                        lane,
+                    )
                 else:
                     fut = self._loop.run_in_executor(
                         self._executor, self._wsgi_call, method, path, body
@@ -290,14 +324,14 @@ class AsyncIngestServer:
                 raise
             return None  # clean EOF between requests
         if len(head) > _MAX_HEAD:
-            await lane.put((None, False))
+            await self._refuse(lane, "400 Bad Request", "malformed request")
             return None
         try:
             text = head.decode("latin-1")
             request_line, *header_lines = text.split("\r\n")
             method, target, _version = request_line.split(" ", 2)
         except ValueError:
-            await lane.put((None, False))
+            await self._refuse(lane, "400 Bad Request", "malformed request")
             return None
         headers = {}
         for line in header_lines:
@@ -312,18 +346,25 @@ class AsyncIngestServer:
             try:
                 length = int(raw_length)
             except ValueError:
-                await lane.put((None, False))
+                await self._refuse(lane, "400 Bad Request", "malformed request")
                 return None
             if length < 0 or length > _MAX_BODY:
                 # The body can't be skipped without reading it; close.
-                await lane.put((None, False))
+                await self._refuse(lane, "400 Bad Request",
+                                   "bad content length")
                 return None
             if length:
                 body = await reader.readexactly(length)
         elif method == "POST":
-            await lane.put(("length-required", False))
+            await self._refuse(lane, "411 Length Required",
+                               "content-length required")
             return None
         return method, path, body, keep_alive
+
+    @staticmethod
+    async def _refuse(lane: asyncio.Queue, status: str, message: str) -> None:
+        """Queue a final error response; the connection closes after it."""
+        await lane.put((_error(status, message, False), False))
 
     async def _write_loop(self, writer: asyncio.StreamWriter,
                           lane: asyncio.Queue) -> None:
@@ -334,19 +375,14 @@ class AsyncIngestServer:
                 if item is None:
                     break
                 pending, keep_alive = item
-                if pending is None:
-                    writer.write(_error("400 Bad Request", "malformed request",
-                                        False))
-                    break
-                if pending == "length-required":
-                    writer.write(_error("411 Length Required",
-                                        "content-length required", False))
-                    break
-                try:
-                    raw = await pending
-                except (asyncio.CancelledError, Exception):
-                    raw = _error("500 Internal Server Error",
-                                 "scoring failed", keep_alive)
+                if isinstance(pending, bytes):
+                    raw = pending  # answered without scoring
+                else:
+                    try:
+                        raw = await pending
+                    except (asyncio.CancelledError, Exception):
+                        raw = _error("500 Internal Server Error",
+                                     "scoring failed", keep_alive)
                 writer.write(raw)
                 await writer.drain()
                 if not keep_alive:
@@ -361,41 +397,43 @@ class AsyncIngestServer:
                 pass
 
     # ------------------------------------------------------------------
-    # /collect: coalesce across connections, score in batches
+    # /collect and /event: coalesce across connections, score in batches
 
-    async def _enqueue_collect(self, body: bytes, keep_alive: bool,
-                               lane: asyncio.Queue) -> None:
-        if not body:
-            fut = self._loop.create_future()
-            fut.set_result(_error("400 Bad Request", "bad content length",
-                                  keep_alive))
-            await lane.put((fut, keep_alive))
-            return
-        self.collect_total += 1
+    async def _enqueue(self, buffer: List[Tuple[bytes, asyncio.Future]],
+                       wakeup: asyncio.Event, body: bytes, keep_alive: bool,
+                       lane: asyncio.Queue) -> None:
         self._pending += 1
         fut = self._loop.create_future()
-        self._buffer.append((body, fut))
-        self._wakeup.set()
+        buffer.append((body, fut))
+        wakeup.set()
         await lane.put((fut, keep_alive))
 
+    def _take(self, buffer: List[Tuple[bytes, asyncio.Future]]
+              ) -> Tuple[List[bytes], List[asyncio.Future]]:
+        """Cut the next batch, up to ``batch_max``, off ``buffer``."""
+        batch = buffer[: self.batch_max]
+        del buffer[: len(batch)]
+        return [wire for wire, _ in batch], [fut for _, fut in batch]
+
+    async def _linger(self, buffer: List[Tuple[bytes, asyncio.Future]]
+                      ) -> None:
+        if len(buffer) < self.batch_max and self.linger_s > 0.0:
+            # A short linger lets concurrent connections pile on so
+            # the scoring tier sees wide batches, not single wires.
+            await asyncio.sleep(self.linger_s)
+
     async def _batch_loop(self) -> None:
-        """Slice the shared buffer into batches; several in flight."""
+        """Slice the /collect buffer into batches; several in flight."""
         while True:
             await self._wakeup.wait()
             self._wakeup.clear()
             if not self._buffer:
                 continue
-            if len(self._buffer) < self.batch_max and self.linger_s > 0.0:
-                # A short linger lets concurrent connections pile on so
-                # the scoring tier sees wide batches, not single wires.
-                await asyncio.sleep(self.linger_s)
+            await self._linger(self._buffer)
             while self._buffer:
-                batch = self._buffer[: self.batch_max]
-                del self._buffer[: len(batch)]
-                wires = [wire for wire, _ in batch]
-                futures = [fut for _, fut in batch]
+                wires, futures = self._take(self._buffer)
                 self.batches_total += 1
-                self.batch_rows_total += len(batch)
+                self.batch_rows_total += len(wires)
                 task = self._loop.run_in_executor(
                     self._executor, self._score_batch, wires
                 )
@@ -403,20 +441,47 @@ class AsyncIngestServer:
                     lambda done, futures=futures: self._deliver(done, futures)
                 )
 
+    async def _event_loop(self) -> None:
+        """Score the /event buffer one batch at a time, in arrival order.
+
+        Session state is order-sensitive (a session's first event
+        creates it, later ones revise it), so unlike ``/collect`` only
+        one event batch is ever in flight; events arriving meanwhile
+        pile up into the next batch.
+        """
+        while True:
+            await self._event_wakeup.wait()
+            self._event_wakeup.clear()
+            if not self._events:
+                continue
+            await self._linger(self._events)
+            while self._events:
+                wires, futures = self._take(self._events)
+                self.event_batches_total += 1
+                self.event_rows_total += len(wires)
+                task = self._loop.run_in_executor(
+                    self._executor, self._score_events, wires
+                )
+                task.add_done_callback(
+                    lambda done, futures=futures: self._deliver(done, futures)
+                )
+                await asyncio.wait((task,))
+
     def _score_batch(self, wires: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses."""
-        score_many = getattr(self.service, "score_many", None)
-        if score_many is not None:
-            verdicts = score_many(wires)
-        else:
-            submit = getattr(self.service, "submit_wire", None)
-            if submit is not None:
-                # The micro-batched runtime pipelines: submit everything
-                # first, then collect — misses share pool batches.
-                verdicts = [p.result() for p in [submit(w) for w in wires]]
-            else:
-                verdicts = [self.service.score_wire(w) for w in wires]
-        return [self._render_verdict(v) for v in verdicts]
+        return [
+            self._render_verdict(v) for v in score_wires(self.service, wires)
+        ]
+
+    def _score_events(self, wires: List[bytes]) -> List[bytes]:
+        """Runs on the scoring thread pool; returns rendered responses."""
+        rendered = []
+        for observation in self.app.sessions.observe_many(wires):
+            status, body = event_response(observation)
+            rendered.append(_render(
+                status, [("Content-Type", "application/json")], body, True
+            ))
+        return rendered
 
     @staticmethod
     def _render_verdict(verdict) -> bytes:
@@ -501,6 +566,10 @@ class AsyncIngestServer:
             f"polygraph_ingest_batches {self.batches_total}",
             "# TYPE polygraph_ingest_batch_rows counter",
             f"polygraph_ingest_batch_rows {self.batch_rows_total}",
+            "# TYPE polygraph_ingest_event_batches counter",
+            f"polygraph_ingest_event_batches {self.event_batches_total}",
+            "# TYPE polygraph_ingest_event_rows counter",
+            f"polygraph_ingest_event_rows {self.event_rows_total}",
             "# TYPE polygraph_ingest_backpressure_pauses counter",
             f"polygraph_ingest_backpressure_pauses {self.backpressure_pauses}",
             "# TYPE polygraph_ingest_open_connections gauge",

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, List, Tuple
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.service.scoring import ScoringService
 
-__all__ = ["CollectionApp"]
+__all__ = ["CollectionApp", "event_response"]
 
 # Shed traffic should come back, just not immediately: the runtime's
 # queue drains in milliseconds, so a short client backoff suffices.
@@ -52,6 +52,19 @@ _RETRY_AFTER_SECONDS = "1"
 # validator anyway, so reading it off the socket only buys an attacker
 # free memory.  Deriving it keeps the two caps from silently diverging.
 _MAX_BODY = MAX_PAYLOAD_BYTES
+
+
+def event_response(observation) -> Tuple[str, bytes]:
+    """Status line and JSON body answering one ``POST /event``.
+
+    ``202`` for an accepted event, ``400`` for a rejected one, and the
+    observation's document either way.  The WSGI app and the async
+    front end both answer events through this, so they stay
+    byte-identical.
+    """
+    accepted = observation.verdict.accepted
+    status = "202 Accepted" if accepted else "400 Bad Request"
+    return status, json.dumps(observation.to_dict()).encode("utf-8")
 
 
 class CollectionApp:
@@ -250,11 +263,9 @@ class CollectionApp:
                 start_response, "400 Bad Request", {"error": "bad content length"}
             )
         body = environ["wsgi.input"].read(length)
-        observation = self.sessions.observe_wire(body)
-        document = observation.to_dict()
-        if not observation.verdict.accepted:
-            return self._respond(start_response, "400 Bad Request", document)
-        return self._respond(start_response, "202 Accepted", document)
+        return self._send(
+            start_response, *event_response(self.sessions.observe_wire(body))
+        )
 
     def _sessions(self, start_response: Callable) -> List[bytes]:
         if self.sessions is None:
@@ -371,7 +382,20 @@ class CollectionApp:
         document: dict,
         extra_headers: Iterable[Tuple[str, str]] = (),
     ) -> List[bytes]:
-        body = json.dumps(document).encode("utf-8")
+        return CollectionApp._send(
+            start_response,
+            status,
+            json.dumps(document).encode("utf-8"),
+            extra_headers,
+        )
+
+    @staticmethod
+    def _send(
+        start_response: Callable,
+        status: str,
+        body: bytes,
+        extra_headers: Iterable[Tuple[str, str]] = (),
+    ) -> List[bytes]:
         headers = [
             ("Content-Type", "application/json"),
             ("Content-Length", str(len(body))),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.coverage.tracker import vendor_of
@@ -18,7 +18,7 @@ from repro.service.ingest import IngestResult, PayloadValidator
 from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
 
-__all__ = ["ScoringService", "Verdict"]
+__all__ = ["ScoringService", "Verdict", "score_wires"]
 
 
 @dataclass(frozen=True)
@@ -211,3 +211,25 @@ class ScoringService:
     def flag_rate(self) -> float:
         """Share of scored sessions flagged so far."""
         return self.flagged_count / self.scored_count if self.scored_count else 0.0
+
+
+def score_wires(
+    service, wires: Sequence[bytes], day: Optional[date] = None
+) -> List[Verdict]:
+    """Score a batch of wires through ``service``'s widest interface.
+
+    ``score_many`` on the cluster router (which routes without a day);
+    ``submit_wire`` on the micro-batched runtime, with every submit
+    before any wait so the batch's cache misses share one flush instead
+    of each waiting out the batcher's linger; ``score_wire`` one by one
+    otherwise.  Verdicts come back in ``wires`` order, and every
+    interface validates and deduplicates in that order.
+    """
+    score_many = getattr(service, "score_many", None)
+    if score_many is not None:
+        return score_many(wires)
+    submit = getattr(service, "submit_wire", None)
+    if submit is not None:
+        pending = [submit(wire, day=day) for wire in wires]
+        return [handle.result() for handle in pending]
+    return [service.score_wire(wire, day=day) for wire in wires]

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import DetectionResult
 from repro.service.ingest import MAX_SESSION_ID_LENGTH
-from repro.service.scoring import Verdict
+from repro.service.scoring import Verdict, score_wires
 from repro.sessions.revision import (
     RevisionReason,
     VerdictRevision,
@@ -76,6 +76,35 @@ class SessionObservation:
             "event_seq": self.event_seq,
             "session_created": self.session_created,
         }
+
+
+def _malformed(exc: ValueError) -> SessionObservation:
+    """The observation answering an envelope that does not parse."""
+    verdict = Verdict(
+        session_id="",
+        accepted=False,
+        flagged=False,
+        risk_factor=None,
+        reject_reason=f"malformed_event: {str(exc)[:80]}",
+        latency_ms=0.0,
+    )
+    return SessionObservation(
+        verdict=verdict,
+        session_flagged=False,
+        session_risk=None,
+        revision=None,
+        event_seq=-1,
+        session_created=False,
+    )
+
+
+def _inner_wire(event: SessionEvent) -> bytes:
+    """The single-vector wire the inner service scores for ``event``."""
+    if event.seq == 0:
+        # Parity path: the untouched single-vector bytes.
+        return event.core_wire()
+    derived = _derived_session_id(event.session_id, event.seq)
+    return replace(event, session_id=derived).core_wire()
 
 
 def _derived_session_id(session_id: str, seq: int) -> str:
@@ -161,50 +190,52 @@ class SessionScoringService:
 
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
         """Score one event-envelope payload (``POST /event`` body)."""
-        try:
-            event = SessionEvent.from_wire(wire)
-        except ValueError as exc:
-            verdict = Verdict(
-                session_id="",
-                accepted=False,
-                flagged=False,
-                risk_factor=None,
-                reject_reason=f"malformed_event: {str(exc)[:80]}",
-                latency_ms=0.0,
-            )
-            return SessionObservation(
-                verdict=verdict,
-                session_flagged=False,
-                session_risk=None,
-                revision=None,
-                event_seq=-1,
-                session_created=False,
-            )
-        return self.observe_event(event, day=day)
+        return self.observe_many([wire], day=day)[0]
+
+    def observe_many(
+        self, wires: Sequence[bytes], day: Optional[date] = None
+    ) -> List[SessionObservation]:
+        """Score a batch of event envelopes, answering in ``wires`` order.
+
+        Every envelope is parsed first; the events' inner wires then go
+        through the inner service in one :func:`score_wires` call, so
+        the batch's cache misses share a flush; session state is
+        reconciled in arrival order last.  Inner scoring never reads
+        session state, so the observations equal those of
+        :meth:`observe_wire` called on each wire in turn.
+        """
+        items: List[object] = []
+        for wire in wires:
+            try:
+                items.append(SessionEvent.from_wire(wire))
+            except ValueError as exc:
+                items.append(_malformed(exc))
+        return self._observe(items, day)
 
     def observe_event(
         self, event: SessionEvent, day: Optional[date] = None
     ) -> SessionObservation:
         """Score one event and reconcile it with the session verdict."""
+        return self._observe([event], day)[0]
+
+    def _observe(self, items: List[object], day: Optional[date]) -> List[SessionObservation]:
+        """Score the events among ``items``; malformed ones pass through."""
+        events = [item for item in items if isinstance(item, SessionEvent)]
+        verdicts = iter(
+            score_wires(self.inner, [_inner_wire(e) for e in events], day=day)
+        )
+        return [
+            self._reconcile(item, next(verdicts))
+            if isinstance(item, SessionEvent)
+            else item
+            for item in items
+        ]
+
+    def _reconcile(self, event: SessionEvent, verdict: Verdict) -> SessionObservation:
+        """Fold one scored event into its session's state."""
         with self._lock:
             if event.timestamp > self._virtual_now:
                 self._virtual_now = event.timestamp
-
-        if event.seq == 0:
-            # Parity path: the untouched single-vector bytes.
-            inner_wire = event.core_wire()
-        else:
-            derived = _derived_session_id(event.session_id, event.seq)
-            inner_wire = SessionEvent(
-                session_id=derived,
-                event_type=event.event_type,
-                seq=event.seq,
-                timestamp=event.timestamp,
-                user_agent=event.user_agent,
-                values=event.values,
-                suspicious_globals=event.suspicious_globals,
-            ).core_wire()
-        verdict = self.inner.score_wire(inner_wire, day=day)
         if not verdict.accepted:
             return SessionObservation(
                 verdict=verdict,
@@ -231,7 +262,7 @@ class SessionScoringService:
         state, created = self.tracker.get_or_create(event.session_id)
         with self._lock:
             self.events_total += 1
-            revision = self._reconcile_locked(state, event, verdict, result, ua_key)
+            revision = self._revise_locked(state, event, verdict, result, ua_key)
             record = EventRecord(
                 seq=event.seq,
                 event_type=event.event_type.value,
@@ -270,7 +301,7 @@ class SessionScoringService:
             session_created=created,
         )
 
-    def _reconcile_locked(
+    def _revise_locked(
         self,
         state: SessionState,
         event: SessionEvent,

@@ -5,8 +5,9 @@ session scoring service: one :class:`SessionState` per live session id,
 carrying the sticky verdict summary, incrementally-maintained feature
 aggregates, and a bounded typed event log.  Bounds are hard on both
 axes — ``max_sessions`` ids (LRU eviction) and ``ttl_seconds`` per id
-(lazy expiry on access plus opportunistic sweeps) — so a web-scale
-event stream cannot grow the tracker without limit.
+(lazy expiry on access plus opportunistic sweeps of the stalest
+entries) — so a web-scale event stream cannot grow the tracker without
+limit.
 
 The clock is injectable (``clock=``) for deterministic tests and for
 the benchmark's virtual-time replay.
@@ -163,7 +164,7 @@ class SessionTracker:
         with self._lock:
             self._touches += 1
             if self._touches % _SWEEP_EVERY == 0:
-                self._sweep_locked(now)
+                self._sweep_stalest_locked(now)
             state = self._sessions.get(session_id)
             if state is not None:
                 if now - state.last_seen > self.ttl_seconds:
@@ -201,6 +202,27 @@ class SessionTracker:
         now = self._clock()
         with self._lock:
             return self._sweep_locked(now)
+
+    def _sweep_stalest_locked(self, now: float) -> int:
+        """Evict expired sessions from the least-recently-touched end.
+
+        Stops at the first live entry, so the cost is O(evicted + 1)
+        however many sessions are live.  Touch order tracks event time
+        only loosely (an event may carry an older timestamp than one
+        before it), so an expired entry behind a live one can survive
+        this pass; lazy expiry on access and :meth:`sweep` still treat
+        it as gone.
+        """
+        sessions = self._sessions
+        evicted = 0
+        while sessions:
+            sid, state = next(iter(sessions.items()))
+            if now - state.last_seen <= self.ttl_seconds:
+                break
+            del sessions[sid]
+            evicted += 1
+        self.evicted_ttl += evicted
+        return evicted
 
     def _sweep_locked(self, now: float) -> int:
         expired = [

@@ -2,17 +2,20 @@
 
 Exercises :class:`~repro.service.aingest.AsyncIngestServer` the way a
 client sees it — over TCP — pinning the contract the tentpole claims:
-``POST /collect`` verdicts match the WSGI app byte-for-field, every
-other endpoint passes through to the same app, responses on one
-connection come back in request order even with pipelining, and the
-high-watermark pauses reads instead of shedding work.
+``POST /collect`` verdicts match the WSGI app byte-for-field, ``POST
+/event`` answers match it byte for byte and are scored in arrival
+order, every other endpoint passes through to the same app, responses
+on one connection come back in request order even with pipelining, and
+the high-watermark pauses reads instead of shedding work.
 """
 
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
+import sys
 import time
 
 import pytest
@@ -20,7 +23,10 @@ import pytest
 from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
+from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.service.scoring import ScoringService
+from repro.sessions import SessionScoringService
+from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_wire_payloads
 
 
@@ -29,10 +35,51 @@ def wires(small_dataset):
     return [w for _, w in zip(range(200), iter_wire_payloads(small_dataset))]
 
 
-def _serve(service, **kwargs):
+def _serve(service, sessions=None, **kwargs):
     kwargs.setdefault("host", "127.0.0.1")
     kwargs.setdefault("port", 0)  # ephemeral
-    return AsyncIngestServer(service, CollectionApp(service), **kwargs)
+    app = CollectionApp(service, sessions=sessions)
+    return AsyncIngestServer(service, app, **kwargs)
+
+
+def _sessions(trained):
+    # Event timestamps are small synthetic seconds; no session expires.
+    return SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
+
+
+def _event_wires(dataset, prefix, n_sessions, n_events=8):
+    """``n_events`` events per session, each session's events together.
+
+    Event ``j`` of session ``k`` carries dataset row ``k * n_events + j``
+    (its UA and fingerprint), so sessions change surface mid-stream and
+    their verdicts get revised.
+    """
+    wires = []
+    for k in range(n_sessions):
+        for j in range(n_events):
+            row = dataset.row(k * n_events + j)
+            wires.append(SessionEvent(
+                session_id=f"{prefix}-{k}",
+                event_type=EventType.PAGE_LOAD if j == 0 else EventType.FOCUS,
+                seq=j,
+                timestamp=1000.0 + j,
+                user_agent=row.user_agent,
+                values=row.features,
+            ).to_wire())
+    return wires
+
+
+def _wsgi(app, method, path, body=b"", length=None):
+    """Call the WSGI app directly; ``(status line, body bytes)``."""
+    captured = []
+    environ = {
+        "REQUEST_METHOD": method,
+        "PATH_INFO": path,
+        "CONTENT_LENGTH": str(len(body) if length is None else length),
+        "wsgi.input": io.BytesIO(body),
+    }
+    chunks = app(environ, lambda status, headers: captured.append(status))
+    return captured[0], b"".join(chunks)
 
 
 def _request(port, method, path, body=b""):
@@ -158,6 +205,30 @@ class TestWsgiPassthrough:
             assert "polygraph_sessions_scored" in text
             assert "polygraph_ingest_requests" in text
             assert "polygraph_ingest_collect_requests 1" in text
+            assert "polygraph_ingest_event_batches 0" in text
+            assert "polygraph_ingest_event_rows 0" in text
+
+    def test_metrics_count_event_batches_and_rows(self, trained,
+                                                  small_dataset):
+        wires = _event_wires(small_dataset, "metrics", 3)
+        service = ScoringService(trained)
+        with _serve(service, sessions=_sessions(trained)) as server:
+            responses = _pipeline(
+                server.port, [("POST", "/event", w) for w in wires]
+            )
+            assert all(
+                line.split(" ", 1)[1].startswith("202")
+                for line, _ in responses
+            )
+            status, _, payload = _request(server.port, "GET", "/metrics")
+        assert status == 200
+        text = payload.decode()
+        assert f"polygraph_ingest_event_rows {len(wires)}" in text
+        batches = server.event_batches_total
+        assert 1 <= batches <= len(wires)
+        assert f"polygraph_ingest_event_batches {batches}" in text
+        # Events have their own counters; /collect's stay untouched.
+        assert "polygraph_ingest_batch_rows 0" in text
 
     def test_unknown_path_is_the_apps_404(self, trained):
         with _serve(ScoringService(trained)) as server:
@@ -261,3 +332,98 @@ class TestBatchingAndBackpressure:
                 for line, _ in responses
             )
             assert server.backpressure_pauses > 0
+
+
+class TestEventLane:
+    def test_pipelined_session_events_are_scored_in_order(
+        self, trained, small_dataset
+    ):
+        """Responses equal a session layer fed the same wires in order.
+
+        Several sessions' events ``seq`` 0..7 go down one socket in a
+        single pipelined write, round after round.  A front end that
+        scored them on parallel threads would, under a short switch
+        interval, let a later event of a session overtake an earlier
+        one (a ``session_created`` on ``seq`` > 0, a shifted revision).
+        """
+        rounds, n_sessions = 8, 6
+        reference = _sessions(trained)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _serve(ScoringService(trained),
+                        sessions=_sessions(trained)) as server:
+                for r in range(rounds):
+                    wires = _event_wires(small_dataset, f"ord{r}", n_sessions)
+                    responses = _pipeline(
+                        server.port, [("POST", "/event", w) for w in wires]
+                    )
+                    for wire, (line, body) in zip(wires, responses):
+                        expected = reference.observe_wire(wire)
+                        document = json.loads(body)
+                        assert document == json.loads(
+                            json.dumps(expected.to_dict())
+                        ), (r, document["session_id"], document["event_seq"])
+                        assert line.split(" ", 1)[1].startswith(
+                            "202" if expected.verdict.accepted else "400"
+                        )
+        finally:
+            sys.setswitchinterval(interval)
+        assert server.event_rows_total == rounds * n_sessions * 8
+        assert reference.revisions_total > 0
+
+    def test_event_answers_match_the_wsgi_app_byte_for_byte(
+        self, trained, small_dataset
+    ):
+        first, follow_up = _event_wires(small_dataset, "parity", 1, 2)
+        cases = [
+            ("accepted first event", first, None),
+            ("accepted follow-up event", follow_up, None),
+            ("malformed envelope", b"not an envelope", None),
+            ("zero content length", b"", None),
+            ("oversized content length", b"", MAX_PAYLOAD_BYTES + 129),
+        ]
+        app = CollectionApp(ScoringService(trained),
+                            sessions=_sessions(trained))
+        with _serve(ScoringService(trained),
+                    sessions=_sessions(trained)) as server:
+            for name, body, length in cases:
+                expected = _wsgi(app, "POST", "/event", body, length)
+                if length is None:
+                    (line, payload), = _pipeline(
+                        server.port, [("POST", "/event", body)]
+                    )
+                else:
+                    line, payload = _declare_only(server.port, length)
+                actual = (line.split(" ", 1)[1], payload)
+                assert actual == expected, name
+            assert server.event_rows_total == 3
+        bare = CollectionApp(ScoringService(trained))
+        with _serve(ScoringService(trained)) as server:
+            expected = _wsgi(bare, "POST", "/event", first)
+            (line, payload), = _pipeline(
+                server.port, [("POST", "/event", first)]
+            )
+        assert expected[0].startswith("404")
+        assert (line.split(" ", 1)[1], payload) == expected
+
+
+def _declare_only(port, length):
+    """Send an /event head declaring ``length`` body bytes, and no body.
+
+    The front end must answer on the head alone and close; returns
+    ``(status line, body bytes)``.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(
+            f"POST /event HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.decode("latin-1").split("\r\n", 1)[0], body

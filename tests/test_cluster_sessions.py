@@ -20,7 +20,11 @@ from repro.cluster.sessions import ClusterSessionService
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.sessions import SessionScoringService
-from repro.traffic.events import EventStreamConfig, build_event_streams
+from repro.traffic.events import (
+    EventStreamConfig,
+    build_event_streams,
+    interleave_events,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,27 @@ class TestClusterSessionParity:
         expected = [_essence(o) for o in _observe_all(single, streams)]
         actual = [_essence(o) for o in _observe_all(sharded, streams)]
         assert actual == expected
+
+    def test_batches_match_the_single_process_layer(
+        self, cluster, trained, streams
+    ):
+        """``observe_many`` splits by lane yet answers in wire order."""
+        wires = [e.to_wire() for e in interleave_events(streams[:40])]
+        wires.insert(3, b"garbage")
+        single = SessionScoringService(
+            ScoringService(trained), ttl_seconds=1e9
+        )
+        sharded = ClusterSessionService(cluster, ttl_seconds=1e9)
+        expected = [_essence(single.observe_wire(w)) for w in wires]
+        actual = []
+        for begin in range(0, len(wires), 16):
+            actual += [
+                _essence(o)
+                for o in sharded.observe_many(wires[begin:begin + 16])
+            ]
+        assert actual == expected
+        assert len({sharded.lane_of(e.session_id)
+                    for e in interleave_events(streams[:40])}) > 1
 
     def test_aggregate_status_sums_the_lanes(self, cluster, streams):
         sessions = ClusterSessionService(cluster, ttl_seconds=1e9)

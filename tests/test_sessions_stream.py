@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.service.api import CollectionApp
@@ -18,6 +20,7 @@ from repro.sessions import (
     SessionTracker,
     classify_revision,
 )
+from repro.sessions import tracker as tracker_module
 from repro.sessions.service import _derived_session_id
 from repro.sessions.tracker import EventRecord
 from repro.traffic.events import (
@@ -250,6 +253,100 @@ class TestSessionTracker:
         assert len(tracker) == 0
 
 
+def _full_scan_expired(tracker, now):
+    """Reference: every tracked id past its TTL, by a scan of them all."""
+    return {
+        sid
+        for sid, state in tracker._sessions.items()
+        if now - state.last_seen > tracker.ttl_seconds
+    }
+
+
+class _FullScanTracker(SessionTracker):
+    """The tracker with its opportunistic sweep as the O(n) full scan."""
+
+    def _sweep_stalest_locked(self, now):
+        expired = _full_scan_expired(self, now)
+        for sid in expired:
+            del self._sessions[sid]
+        self.evicted_ttl += len(expired)
+        return len(expired)
+
+
+_TRACKER_OPS = st.lists(
+    st.one_of(
+        # (op, session id, event timestamp): timestamps come in any
+        # order, so a session's last_seen can move backwards.
+        st.tuples(
+            st.just("touch"),
+            st.sampled_from("abcdefgh"),
+            st.integers(0, 60).map(float),
+        ),
+        st.tuples(st.just("peek"), st.sampled_from("abcdefgh"), st.just(0.0)),
+        st.tuples(st.just("sweep"), st.just(""), st.just(0.0)),
+    ),
+    max_size=80,
+)
+
+
+class TestTrackerSweepProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_TRACKER_OPS, max_sessions=st.sampled_from([3, 1000]))
+    def test_stalest_first_sweep_matches_the_full_scan(self, ops, max_sessions):
+        """Cheap opportunistic sweeps change no answer; sweep() is exact.
+
+        The clock is the largest event time seen, as in the session
+        service.  Without capacity pressure the tracker must answer
+        every touch and peek like the full-scan reference; with or
+        without it, an explicit ``sweep()`` must evict exactly the
+        expired set.
+        """
+        clock = {"now": 0.0}
+        trackers = [
+            cls(max_sessions=max_sessions, ttl_seconds=10.0,
+                clock=lambda: clock["now"])
+            for cls in (SessionTracker, _FullScanTracker)
+        ]
+        tracker, reference = trackers
+        compare = max_sessions == 1000
+        saved = tracker_module._SWEEP_EVERY
+        tracker_module._SWEEP_EVERY = 3
+        try:
+            for seq, (op, sid, ts) in enumerate(ops):
+                if op == "touch":
+                    clock["now"] = max(clock["now"], ts)
+                    created = []
+                    for t in trackers:
+                        state, new = t.get_or_create(sid)
+                        state.record_event(
+                            TestSessionTracker._record(seq, ts), (seq,),
+                            t.max_events_per_session,
+                        )
+                        created.append(new)
+                    if compare:
+                        assert created[0] == created[1]
+                elif op == "peek":
+                    seen = [t.peek(sid) for t in trackers]
+                    if compare:
+                        assert (seen[0] is None) == (seen[1] is None)
+                        if seen[0] is not None:
+                            assert seen[0].to_dict() == seen[1].to_dict()
+                else:
+                    before = list(tracker._sessions)
+                    expired = _full_scan_expired(tracker, clock["now"])
+                    assert tracker.sweep() == len(expired)
+                    assert tracker.active_ids() == [
+                        s for s in before if s not in expired
+                    ]
+                    reference.sweep()
+                    if compare:
+                        assert tracker.active_ids() == reference.active_ids()
+                        assert tracker.evicted_ttl == reference.evicted_ttl
+                assert len(tracker) <= max_sessions
+        finally:
+            tracker_module._SWEEP_EVERY = saved
+
+
 # ----------------------------------------------------------------------
 # revision classification
 
@@ -318,6 +415,47 @@ class TestClassifyRevision:
 
 
 class TestSessionScoringService:
+    @pytest.mark.parametrize("inner", ["per_request", "runtime"])
+    def test_observe_many_equals_one_by_one(self, trained, streams, inner):
+        """A batch answers exactly as its wires would, one at a time.
+
+        The mix holds interleaved sessions (revisions included), a
+        malformed envelope and a replayed first event (an inner
+        ``duplicate`` reject), across batch boundaries.
+        """
+        from repro.runtime.service import RuntimeScoringService
+
+        swaps = [s for s in streams
+                 if s.scenario is StreamScenario.ENGINE_SWAP]
+        mix = streams[:40] + swaps[:10]
+        wires = [e.to_wire() for e in interleave_events(mix)]
+        wires.insert(5, b"garbage")
+        wires.insert(17, wires[0])
+
+        def layer():
+            if inner == "runtime":
+                return SessionScoringService(
+                    RuntimeScoringService(trained).start(), ttl_seconds=1e9
+                )
+            return _session_service(trained)
+
+        one_by_one, batched = layer(), layer()
+        expected = [one_by_one.observe_wire(w).to_dict() for w in wires]
+        actual = []
+        for begin in range(0, len(wires), 7):
+            actual += [
+                o.to_dict() for o in batched.observe_many(wires[begin:begin + 7])
+            ]
+        for service in (one_by_one, batched):
+            if inner == "runtime":
+                service.inner.shutdown()
+        assert actual == expected
+        assert batched.status_dict() == one_by_one.status_dict()
+        assert batched.revisions_total > 0
+        rejects = [d["reject_reason"] for d in actual if not d["accepted"]]
+        assert "duplicate" in rejects
+        assert any(r.startswith("malformed_event") for r in rejects)
+
     def test_first_event_verdict_bit_identical(self, trained, streams):
         single = ScoringService(trained)
         sessions = _session_service(trained)
