@@ -20,7 +20,7 @@ from repro import BrowserPolygraph, TrafficConfig, TrafficSimulator
 from repro.core.explain import explain_detection
 from repro.fraudbrowsers import fraud_browser
 from repro.fraudbrowsers.marketplace import AttackCampaign, Marketplace
-from repro.service.ingest import PayloadValidator
+from repro.runtime.fastingest import WireIngest
 from repro.service.scoring import ScoringService
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     print("training Browser Polygraph on the clean window ...")
     traffic = TrafficSimulator(TrafficConfig(seed=7).scaled(40_000)).generate()
     polygraph = BrowserPolygraph().fit(traffic)
-    service = ScoringService(polygraph, validator=PayloadValidator(dedup_window=0))
+    service = ScoringService(polygraph, ingest=WireIngest(dedup_window=0))
     print(f"  accuracy {polygraph.accuracy:.4f}\n")
 
     # --- the underground supply chain ---------------------------------

@@ -26,7 +26,6 @@ from repro.fraudbrowsers.base import FraudProfile
 from repro.service import (
     DriftScheduler,
     FlagRateMonitor,
-    PayloadValidator,
     ScoringService,
     SessionStore,
 )
@@ -39,8 +38,7 @@ def main() -> None:
     print(f"  accuracy {polygraph.accuracy:.4f}")
 
     store = SessionStore(tempfile.mkdtemp(prefix="polygraph-store-"))
-    validator = PayloadValidator()
-    service = ScoringService(polygraph, validator=validator, store=store)
+    service = ScoringService(polygraph, store=store)
     monitor = FlagRateMonitor(window=5_000, min_observations=500)
     script = CollectionScript()
 
@@ -82,8 +80,8 @@ def main() -> None:
     print(f"  scored sessions : {service.scored_count}")
     print(f"  flagged         : {service.flagged_count} ({100 * service.flag_rate:.2f}%)")
     print(f"  monitor         : {monitor.describe()}")
-    print(f"  quarantine      : {validator.quarantine.total_rejects} rejects "
-          f"{validator.quarantine.counts()}")
+    print(f"  quarantine      : {service.quarantine.total_rejects} rejects "
+          f"{service.quarantine.counts()}")
     top = sorted(flagged_sessions, key=lambda item: -item[1])[:5]
     print("  top flagged     :", top)
 

@@ -36,7 +36,7 @@ from repro.cluster.ring import _SID_PREFIX, wire_routing_key
 from repro.cluster.supervisor import ShardError, ShardSupervisor
 from repro.core.pipeline import BrowserPolygraph
 from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
-from repro.service.ingest import RejectReason
+from repro.service.ingest import QuarantineLog
 from repro.service.scoring import Verdict
 
 __all__ = ["ClusterRouter", "RouterConfig"]
@@ -49,53 +49,6 @@ _ROUTE_MEMO_LIMIT = 65_536  # distinct routing keys memoized per epoch
 # on a single-CPU host even the child processes timeshare the one core,
 # so threads add switch overhead without adding any overlap.
 _PARALLEL_DISPATCH = (os.cpu_count() or 1) > 1
-
-
-class _ExtraReason(str):
-    """A reject reason outside :class:`RejectReason` (e.g. shed traffic).
-
-    Quacks like an enum member — ``.value`` and string ordering — so the
-    ``/metrics`` breakdown can mix it with real quarantine reasons.
-    """
-
-    @property
-    def value(self) -> str:
-        return str(self)
-
-
-def _reason_key(value: str):
-    try:
-        return RejectReason(value)
-    except ValueError:
-        return _ExtraReason(value)
-
-
-class _RouterQuarantine:
-    """Aggregated reject counts, same shape as the validator's."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def record(self, reason: str) -> None:
-        with self._lock:
-            self._counts[reason] = self._counts.get(reason, 0) + 1
-
-    @property
-    def total_rejects(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
-
-    def counts(self) -> Dict[object, int]:
-        with self._lock:
-            return {_reason_key(value): n for value, n in self._counts.items()}
-
-
-class _RouterValidator:
-    """Shim so ``CollectionApp._metrics`` finds ``validator.quarantine``."""
-
-    def __init__(self) -> None:
-        self.quarantine = _RouterQuarantine()
 
 
 class RouterConfig:
@@ -145,7 +98,7 @@ class ClusterRouter:
         # (/health); loaded once from the same digest-verified source
         # the shards use, never scored against.
         self.polygraph = BrowserPolygraph.load(supervisor.model_path)
-        self.validator = _RouterValidator()
+        self.quarantine = QuarantineLog()
         self._lock = threading.Lock()
         self.scored_count = 0
         self.flagged_count = 0
@@ -356,9 +309,7 @@ class ClusterRouter:
                 scored += 1
                 flagged += verdict.flagged
             else:
-                self.validator.quarantine.record(
-                    verdict.reject_reason or "unknown"
-                )
+                self.quarantine.record(verdict.reject_reason or "unknown")
         answered = len(indices) - len(retry)
         with self._lock:
             self.requests_total += answered
@@ -458,7 +409,7 @@ class ClusterRouter:
                 if verdict.flagged:
                     self.flagged_count += 1
         else:
-            self.validator.quarantine.record(verdict.reject_reason or "unknown")
+            self.quarantine.record(verdict.reject_reason or "unknown")
 
     # ------------------------------------------------------------------
     # observability

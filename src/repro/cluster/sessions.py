@@ -36,7 +36,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.ring import ring_hash, wire_routing_key
-from repro.sessions.service import SessionObservation, SessionScoringService
+from repro.sessions.service import (
+    SessionObservation,
+    SessionScoringService,
+    session_metrics_lines,
+)
 from repro.sessions.store import SessionEventLog
 
 __all__ = ["ClusterSessionService"]
@@ -195,27 +199,7 @@ class ClusterSessionService:
     def metrics_lines(self) -> List[str]:
         """Aggregated ``polygraph_session_*`` + per-shard gauges."""
         status = self.status_dict()
-        lines = [
-            "# TYPE polygraph_session_active gauge",
-            f"polygraph_session_active {status['active_sessions']}",
-            "# TYPE polygraph_session_events_total counter",
-            f"polygraph_session_events_total {status['events_total']}",
-            "# TYPE polygraph_session_revisions_total counter",
-            f"polygraph_session_revisions_total {status['revisions_total']}",
-            "# TYPE polygraph_session_escalations_total counter",
-            f"polygraph_session_escalations_total {status['escalations_total']}",
-            "# TYPE polygraph_session_evictions_total counter",
-            f"polygraph_session_evictions_total{{kind=\"ttl\"}} "
-            f"{status['evicted_ttl']}",
-            f"polygraph_session_evictions_total{{kind=\"capacity\"}} "
-            f"{status['evicted_capacity']}",
-            "# TYPE polygraph_session_revision_reason_total counter",
-        ]
-        for reason, count in sorted(status["revision_reasons"].items()):
-            lines.append(
-                "polygraph_session_revision_reason_total"
-                f"{{reason=\"{reason}\"}} {count}"
-            )
+        lines = session_metrics_lines(status)
         lines.append("# TYPE polygraph_session_active_by_shard gauge")
         for shard_id in self._order:
             active = status["shards"][shard_id]["active_sessions"]

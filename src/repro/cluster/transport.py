@@ -69,7 +69,6 @@ from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.pool import overloaded_verdict
 from repro.runtime.stats import RuntimeStats
-from repro.service.ingest import PayloadValidator
 from repro.service.scoring import Verdict
 
 __all__ = [
@@ -94,7 +93,7 @@ _UA_TABLE_LIMIT = 65_536
 # Rows shipped per ("shmscore", ...) control message.  Large enough to
 # amortize the pipe round-trip into one vectorized model call, small
 # enough that two batches pipeline inside the default ring.
-_DEFAULT_BATCH_ROWS = 1024
+_BATCH_ROWS = 1024
 _PIPELINE_DEPTH = 2
 
 
@@ -311,13 +310,11 @@ class ShmTransport:
         namespace_probe: bool,
         vendor_risk: int,
         generation: int,
-        validator: Optional[PayloadValidator] = None,
-        batch_rows: int = _DEFAULT_BATCH_ROWS,
     ) -> None:
         self.slab = slab
         self.conn = conn
         self.lock = threading.RLock()  # pipe + ring + slab writes
-        self.ingest = WireIngest(validator)
+        self.ingest = WireIngest()
         self.stats = RuntimeStats()
         self.cache: Optional[VerdictCache] = None
         if config.cache_entries > 0:
@@ -329,7 +326,7 @@ class ShmTransport:
             )
             self.cache.set_model_generation(generation)
         self.ring = SlotRing(slab.n_slots)
-        self.batch_rows = max(1, min(batch_rows, slab.n_slots))
+        self.batch_rows = min(_BATCH_ROWS, slab.n_slots)
         self._ua_index: Dict[str, int] = {}
         self._namespace_probe = namespace_probe
         self._vendor_risk = vendor_risk
@@ -362,7 +359,7 @@ class ShmTransport:
         misses resolve to overloaded verdicts (the router re-routes).
 
         The chunk is the unit of accounting on this path: ingest takes
-        the validator lock once (:meth:`WireIngest.ingest_many`), the
+        the ingest lock once (:meth:`WireIngest.ingest_many`), the
         cache is probed once (:meth:`VerdictCache.get_many`), and the
         rejects/hits of a chunk share one latency stamp — a per-wire
         clock on a bulk path mostly measures the clock.

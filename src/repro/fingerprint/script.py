@@ -26,11 +26,25 @@ from repro.fingerprint.features import FEATURE_SPECS, FeatureSpec
 from repro.fraudbrowsers.namespace_probe import scan_environment
 from repro.jsengine.environment import JSEnvironment
 
-__all__ = ["CollectionScript", "FingerprintPayload", "MAX_PAYLOAD_BYTES", "MAX_SERVICE_TIME_MS"]
+__all__ = [
+    "CollectionScript",
+    "FingerprintPayload",
+    "MAX_PAYLOAD_BYTES",
+    "MAX_SERVICE_TIME_MS",
+    "WIRE_PARSE_ERRORS",
+]
 
 # FinOrg deployment constraints (paper Section 3).
 MAX_SERVICE_TIME_MS = 100.0
 MAX_PAYLOAD_BYTES = 1024
+
+# What parsing a hostile wire body can raise: bad JSON or UTF-8
+# (ValueError), a missing key (KeyError), a wrong type (TypeError),
+# ``1e999`` or ``Infinity`` through ``int()`` (OverflowError), and
+# nesting deeper than the interpreter's recursion limit (RecursionError).
+WIRE_PARSE_ERRORS = (
+    ValueError, KeyError, TypeError, OverflowError, RecursionError
+)
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,7 @@ class FingerprintPayload:
                 service_time_ms=0.0,
                 suspicious_globals=tuple(str(g) for g in body.get("g", ())),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except WIRE_PARSE_ERRORS as exc:
             raise ValueError(f"malformed fingerprint payload: {exc}") from exc
 
     @property

@@ -9,6 +9,11 @@ paper's own design point — coarse-grained fingerprints are deliberately
 low-cardinality (the Section 7 anonymity-set analysis), so live traffic
 contains thousands of distinct fingerprints, not millions:
 
+* :mod:`repro.runtime.fastingest` — :class:`WireIngest`, the single
+  enforcement of the wire contract (every scoring service and the
+  shard transport ingest through it), memoized on repeated user-agent
+  strings and wire suffixes, and owning the dedup window and the
+  quarantine log;
 * :mod:`repro.runtime.batcher` — a micro-batcher coalescing concurrent
   requests into single vectorized ``detect_vectors`` calls, flushing on
   batch size or linger, whichever triggers first;
@@ -21,7 +26,7 @@ contains thousands of distinct fingerprints, not millions:
   distribution, queue depth, cache hit rate, per-stage latency
   percentiles) rendered into ``/metrics``;
 * :mod:`repro.runtime.service` — :class:`RuntimeScoringService`, the
-  drop-in wiring of all four behind the ``score_wire`` contract;
+  drop-in wiring of all of these behind the ``score_wire`` contract;
 * :mod:`repro.runtime.bench` — the per-request vs batched vs cached
   throughput driver shared by the CLI and the benchmark suite.
 """

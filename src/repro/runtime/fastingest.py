@@ -1,13 +1,26 @@
-"""The shared fast-ingest engine: wire contract enforcement, memoized.
+"""The wire contract: one enforcement engine, memoized.
 
-Extracted from :class:`~repro.runtime.service.RuntimeScoringService` so
-that every component sitting in front of a model — the in-process
-runtime, and the router side of the shared-memory shard transport
-(:mod:`repro.cluster.transport`) — enforces the wire contract with the
-*same* code path.  The contract itself is defined by
-:class:`~repro.service.ingest.PayloadValidator`; this class mirrors its
-checks in the identical order while skipping work that is provably
-redundant for repeated byte patterns:
+Every component sitting in front of a model — the per-request
+:class:`~repro.service.scoring.ScoringService`, the micro-batched
+:class:`~repro.runtime.service.RuntimeScoringService`, and the router
+side of the shared-memory shard transport
+(:mod:`repro.cluster.transport`) — enforces the wire contract through
+:class:`WireIngest`.  The checks run in one fixed order, the first
+failure naming the :class:`~repro.service.ingest.RejectReason`:
+
+1. ``OVERSIZED`` — more than ``MAX_PAYLOAD_BYTES`` on the wire;
+2. ``MALFORMED`` — not UTF-8 JSON (or nested past the recursion
+   limit), a missing ``sid``/``ua``/``f`` key, a feature ``int()``
+   cannot convert (``NaN``, ``1e999``, ``Infinity``, a non-numeric
+   string), or a ``g`` that is not iterable;
+3. ``BAD_SESSION_ID`` — empty, or longer than ``MAX_SESSION_ID_LENGTH``;
+4. ``WRONG_ARITY`` — not exactly ``N_FEATURES`` feature values;
+5. ``VALUE_RANGE`` — a value outside ``[0, MAX_FEATURE_VALUE]``;
+6. ``GLOBALS_OVERFLOW`` — more than ``MAX_SUSPICIOUS_GLOBALS`` globals;
+7. ``UNPARSEABLE_UA`` — a user agent the parser does not recognize;
+8. ``DUPLICATE`` — a session id still inside the dedup window.
+
+Work that is provably redundant for repeated byte patterns is skipped:
 
 * the **user-agent memo** maps raw UA strings to their parsed
   equivalence class (``vendor-version``), bounded and cleared whole;
@@ -15,9 +28,9 @@ redundant for repeated byte patterns:
   live payloads from the same browser differ only in ``sid``, so a
   repeated suffix skips the JSON parse and the static checks entirely.
 
-Parity with ``PayloadValidator.ingest_wire`` is pinned by the runtime
-test suite; anything structurally unusual (escaped session ids,
-reordered keys, duplicate ``sid`` keys) bails to the full parse.
+Anything structurally unusual (escaped session ids, reordered keys,
+duplicate ``sid`` keys) bails to the full parse; the test suite pins
+the memoized outcomes against a plain reference parser.
 """
 
 from __future__ import annotations
@@ -25,15 +38,17 @@ from __future__ import annotations
 import json
 import re
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.browsers.useragent import UserAgentError, parse_user_agent
-from repro.fingerprint.script import MAX_PAYLOAD_BYTES
+from repro.fingerprint.features import N_FEATURES
+from repro.fingerprint.script import MAX_PAYLOAD_BYTES, WIRE_PARSE_ERRORS
 from repro.service.ingest import (
     MAX_FEATURE_VALUE,
     MAX_SESSION_ID_LENGTH,
     MAX_SUSPICIOUS_GLOBALS,
-    PayloadValidator,
+    QuarantineLog,
     RejectReason,
 )
 
@@ -55,34 +70,54 @@ _SID_UNSAFE = re.compile(rb"[\x00-\x1f\\]").search
 class WireIngest:
     """Wire-contract enforcement with parse memoization.
 
-    One instance fronts one validator (one quarantine log, one dedup
-    window).  :meth:`ingest` is the whole surface: bytes in,
-    ``(reject_reason, fields)`` out, where ``fields`` is
+    One instance owns one reject ledger (the quarantine log), one dedup
+    window, and the ``accepted_count`` / ``requests_total`` /
+    ``rejected_count`` counters.  :meth:`ingest` is the whole surface:
+    bytes in, ``(reject_reason, fields)`` out, where ``fields`` is
     ``(session_id, user_agent, values, suspicious_globals, ua_key)``
-    for admitted payloads.
+    for admitted payloads; :meth:`ingest_many` is its bulk form.
 
-    Stateless checks run lock-free; the shared mutable state (the
-    quarantine log, the dedup window, the counters) is touched under
-    one lock, so concurrent producers serialize on a few dict and set
-    operations rather than on a JSON parse.
+    Parameters
+    ----------
+    dedup_window:
+        Number of recent session ids remembered for replay rejection;
+        0 disables deduplication.
+    quarantine:
+        Where rejects are recorded; a fresh log is created if omitted.
+
+    Stateless checks run lock-free; the dedup window and the counters
+    are touched under one lock, so concurrent producers serialize on a
+    few dict and set operations rather than on a JSON parse.
     """
 
     __slots__ = (
-        "validator",
+        "quarantine",
+        "dedup_window",
+        "accepted_count",
+        "requests_total",
+        "rejected_count",
+        "_seen_ids",
+        "_seen_set",
         "_lock",
         "_ua_class",
         "_wire_memo",
-        "requests_total",
-        "rejected_count",
     )
 
-    def __init__(self, validator: Optional[PayloadValidator] = None) -> None:
-        self.validator = validator if validator is not None else PayloadValidator()
+    def __init__(
+        self,
+        dedup_window: int = 100_000,
+        quarantine: Optional[QuarantineLog] = None,
+    ) -> None:
+        self.quarantine = quarantine if quarantine is not None else QuarantineLog()
+        self.dedup_window = dedup_window
+        self.accepted_count = 0
+        self.requests_total = 0
+        self.rejected_count = 0
+        self._seen_ids: Deque[str] = deque(maxlen=max(1, dedup_window))
+        self._seen_set: Set[str] = set()
         self._lock = threading.Lock()
         self._ua_class: Dict[str, Optional[str]] = {}
         self._wire_memo: Dict[bytes, tuple] = {}
-        self.requests_total = 0
-        self.rejected_count = 0
 
     # ------------------------------------------------------------------
 
@@ -91,22 +126,34 @@ class WireIngest:
     ) -> Tuple[Optional[RejectReason], Optional[tuple]]:
         """Validate one wire payload; admit or reject.
 
-        Identical checks in identical order to
-        ``PayloadValidator.ingest_wire``, sharing the validator's
-        quarantine log and dedup window.  The fast path fires when the
-        wire opens with the canonical ``{"sid":"<id>"`` shape and its
-        suffix has been fully parsed and statically validated before:
-        then only the session-id checks and the dedup window run.
+        The fast path fires when the wire opens with the canonical
+        ``{"sid":"<id>"`` shape and its suffix has been fully parsed
+        and statically validated before: then only the session-id
+        checks and the dedup window run.
         """
         prepared = self._prepare(wire)
         if len(prepared) != 5:
             return self._reject(prepared[0], prepared[1])
-        return self._admit(*prepared)
+        session_id = prepared[0]
+        with self._lock:
+            self.requests_total += 1
+            if self.dedup_window:
+                seen_ids = self._seen_ids
+                if session_id in self._seen_set:
+                    self.quarantine.record(RejectReason.DUPLICATE, session_id)
+                    self.rejected_count += 1
+                    return RejectReason.DUPLICATE, None
+                if len(seen_ids) == seen_ids.maxlen:
+                    self._seen_set.discard(seen_ids[0])
+                seen_ids.append(session_id)
+                self._seen_set.add(session_id)
+            self.accepted_count += 1
+        return None, prepared
 
     def ingest_many(
         self, wires: Sequence[bytes]
     ) -> List[Union[RejectReason, tuple]]:
-        """Bulk :meth:`ingest`: one validator-lock round trip per chunk.
+        """Bulk :meth:`ingest`: one lock round trip per chunk.
 
         Returns one outcome per wire, in order: the admitted fields
         tuple, or the :class:`RejectReason` (its detail already
@@ -117,10 +164,11 @@ class WireIngest:
         Outcomes are wire-for-wire identical to :meth:`ingest` loops.
         """
         prepare = self._prepare
-        validator = self.validator
-        record = validator.quarantine.record
+        record = self.quarantine.record
         duplicate = RejectReason.DUPLICATE
-        window, seen_ids, seen_set = validator.dedup_state()
+        window = self.dedup_window
+        seen_ids = self._seen_ids
+        seen_set = self._seen_set
         maxlen = seen_ids.maxlen
         ids_append = seen_ids.append
         seen_add = seen_set.add
@@ -151,7 +199,7 @@ class WireIngest:
                     record(reason, prepared[1])
                     rejected += 1
                     append(reason)
-            validator.accepted_count += accepted
+            self.accepted_count += accepted
             self.requests_total += len(wires)
             self.rejected_count += rejected
         return out
@@ -164,7 +212,6 @@ class WireIngest:
         ``(reason, detail_str)`` for statically-invalid wires — the
         caller discriminates on ``len``.
         """
-        validator = self.validator
         if len(wire) > MAX_PAYLOAD_BYTES:
             return (
                 RejectReason.OVERSIZED,
@@ -212,14 +259,14 @@ class WireIngest:
                 () if raw_globs is _MISSING
                 else tuple(str(g) for g in raw_globs)
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except WIRE_PARSE_ERRORS as exc:
             return RejectReason.MALFORMED, str(exc)[:120]
         if not session_id or len(session_id) > MAX_SESSION_ID_LENGTH:
             return RejectReason.BAD_SESSION_ID, session_id[:80]
-        if len(values) != validator.expected_features:
+        if len(values) != N_FEATURES:
             return (
                 RejectReason.WRONG_ARITY,
-                f"{len(values)} values, expected {validator.expected_features}",
+                f"{len(values)} values, expected {N_FEATURES}",
             )
         # C-loop min/max instead of a per-element genexpr; the arity
         # check above guarantees ``values`` is non-empty.
@@ -243,34 +290,11 @@ class WireIngest:
             memo[suffix] = (user_agent, values, globs, ua_key)
         return session_id, user_agent, values, globs, ua_key
 
-    # ------------------------------------------------------------------
-
-    def _admit(
-        self,
-        session_id: str,
-        user_agent: str,
-        values: Tuple[int, ...],
-        globs: Tuple[str, ...],
-        ua_key: str,
-    ) -> Tuple[Optional[RejectReason], Optional[tuple]]:
-        """Dedup window + counters for a statically-valid payload."""
-        validator = self.validator
-        with self._lock:
-            if validator.is_duplicate(session_id):
-                validator.quarantine.record(RejectReason.DUPLICATE, session_id)
-                self.requests_total += 1
-                self.rejected_count += 1
-                return RejectReason.DUPLICATE, None
-            validator.remember(session_id)
-            validator.accepted_count += 1
-            self.requests_total += 1
-        return None, (session_id, user_agent, values, globs, ua_key)
-
     def _reject(
         self, reason: RejectReason, detail: str
     ) -> Tuple[RejectReason, None]:
         with self._lock:
-            self.validator.quarantine.record(reason, detail)
+            self.quarantine.record(reason, detail)
             self.requests_total += 1
             self.rejected_count += 1
         return reason, None

@@ -41,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.pool import WorkerPool, overloaded_verdict
 from repro.runtime.stats import RuntimeStats
-from repro.service.ingest import PayloadValidator, RejectReason
 from repro.service.scoring import Verdict
 from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
@@ -171,17 +170,19 @@ class RuntimeScoringService:
 
     Drop-in for :class:`ScoringService` where it matters: ``score_wire``
     takes the same bytes and returns the same :class:`Verdict`; the
-    ``validator`` (quarantine, dedup window) and optional ``store`` are
-    honoured; ``scored_count`` / ``flagged_count`` / ``flag_rate`` keep
-    their meanings.  New surface: :meth:`submit_wire` (non-blocking
-    handle), :meth:`shutdown` (graceful drain), :attr:`runtime_stats`
-    and :meth:`runtime_metrics_lines` (for ``/metrics``).
+    ``ingest`` (:class:`~repro.runtime.fastingest.WireIngest`: the
+    ``quarantine`` reject ledger and the dedup window) and optional
+    ``store`` are honoured; ``scored_count`` / ``flagged_count`` /
+    ``flag_rate`` keep their meanings.  New surface:
+    :meth:`submit_wire` (non-blocking handle), :meth:`shutdown`
+    (graceful drain), :attr:`runtime_stats` and
+    :meth:`runtime_metrics_lines` (for ``/metrics``).
     """
 
     def __init__(
         self,
         polygraph: BrowserPolygraph,
-        validator: Optional[PayloadValidator] = None,
+        ingest: Optional[WireIngest] = None,
         store: Optional[SessionStore] = None,
         config: RuntimeConfig = RuntimeConfig(),
         stats: Optional[RuntimeStats] = None,
@@ -191,7 +192,10 @@ class RuntimeScoringService:
                 "RuntimeScoringService requires a fitted BrowserPolygraph"
             )
         self.polygraph = polygraph
-        self.validator = validator if validator is not None else PayloadValidator()
+        # Parse memos are model-independent and survive retrains,
+        # except the UA memo, which is cleared on model swap.
+        self.ingest = ingest if ingest is not None else WireIngest()
+        self.quarantine = self.ingest.quarantine
         self.store = store
         self.config = config
         self.runtime_stats = stats if stats is not None else RuntimeStats()
@@ -225,11 +229,6 @@ class RuntimeScoringService:
         self.coverage = None
         self._sample_every = config.latency_sample_every
         self._lock = threading.Lock()  # scored/flagged counters
-        # Wire-contract enforcement lives in the shared fast-ingest
-        # engine (also used router-side by the shm shard transport);
-        # parse memos are model-independent and survive retrains,
-        # except the UA memo which is cleared on model swap.
-        self._ingest = WireIngest(self.validator)
         self._closed = False
         # Optional rollout manager (repro.rollout): routes sessions to a
         # candidate arm and mirrors live verdicts for shadow comparison.
@@ -283,7 +282,7 @@ class RuntimeScoringService:
         already decided; only cache misses wait on a batch flush.
         """
         started = time.perf_counter()
-        rejected, fields = self._ingest_fast(wire)
+        rejected, fields = self.ingest.ingest(wire)
         if rejected is not None:
             return PendingVerdict(
                 Verdict(
@@ -423,7 +422,7 @@ class RuntimeScoringService:
         self.runtime_stats.incr("model_swaps")
         if self.cache is not None:
             self.cache.invalidate(generation)
-        self._ingest.clear_ua_memo()
+        self.ingest.clear_ua_memo()
         if self.coverage is not None:
             _, detector = self.polygraph.detection_snapshot()
             self.coverage.set_known_keys(
@@ -436,12 +435,12 @@ class RuntimeScoringService:
     @property
     def requests_total(self) -> int:
         """Requests ingested (accepted + rejected), from the ingest engine."""
-        return self._ingest.requests_total
+        return self.ingest.requests_total
 
     @property
     def rejected_count(self) -> int:
         """Requests rejected by the wire contract or dedup window."""
-        return self._ingest.rejected_count
+        return self.ingest.rejected_count
 
     @property
     def flag_rate(self) -> float:
@@ -484,17 +483,6 @@ class RuntimeScoringService:
 
     # ------------------------------------------------------------------
     # internals
-
-    def _ingest_fast(
-        self, wire: bytes
-    ) -> Tuple[Optional[RejectReason], Optional[tuple]]:
-        """Wire-contract enforcement via the shared fast-ingest engine.
-
-        See :class:`~repro.runtime.fastingest.WireIngest` — identical
-        checks in identical order to ``PayloadValidator.ingest_wire``,
-        with parse/UA memoization.  Parity is pinned by tests.
-        """
-        return self._ingest.ingest(wire)
 
     def _handle_request(self, request: _ScoreRequest) -> None:
         self.batcher.submit(request)

@@ -7,8 +7,10 @@ persist them for the next training window, and keep operational
 watch over flag rates and drift.  This subpackage provides that
 production shell around the core pipeline:
 
-* :mod:`repro.service.ingest` — payload validation and quarantine
-  (malformed wire data never reaches the model);
+* :mod:`repro.service.ingest` — the wire contract's limits, reject
+  reasons and quarantine log (the contract itself is enforced by
+  :class:`~repro.runtime.fastingest.WireIngest`, so malformed wire
+  data never reaches the model);
 * :mod:`repro.service.storage` — an append-only JSONL session store
   with size-based rotation, the "periodic datasets" FinOrg handed the
   authors;
@@ -21,7 +23,7 @@ production shell around the core pipeline:
 """
 
 from repro.service.api import CollectionApp
-from repro.service.ingest import IngestResult, PayloadValidator, QuarantineLog
+from repro.service.ingest import QuarantineLog
 from repro.service.monitoring import DriftScheduler, FlagRateMonitor
 from repro.service.scoring import ScoringService, Verdict
 from repro.service.storage import SessionStore
@@ -30,8 +32,6 @@ __all__ = [
     "CollectionApp",
     "DriftScheduler",
     "FlagRateMonitor",
-    "IngestResult",
-    "PayloadValidator",
     "QuarantineLog",
     "ScoringService",
     "SessionStore",

@@ -30,8 +30,10 @@ future into that connection's response lane, and a per-connection
 writer drains the lane in arrival order — so HTTP/1.1 pipelining is
 safe even though scoring completes out of order across batches.
 
-``POST /event`` answers are rendered by the WSGI app's own
-:func:`~repro.service.api.event_response`.  Every other endpoint (and
+``POST /collect`` and ``POST /event`` answers are rendered by the WSGI
+app's own :func:`~repro.service.api.collect_response` and
+:func:`~repro.service.api.event_response`, with its JSON headers, so
+both front ends answer byte for byte alike.  Every other endpoint (and
 an ``/event`` the app answers without scoring: session streaming off,
 an empty body) is delegated to the existing
 :class:`~repro.service.api.CollectionApp` through a minimal in-process
@@ -47,10 +49,10 @@ import asyncio
 import io
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.service.api import event_response
+from repro.service.api import collect_response, event_response, json_headers
 from repro.service.scoring import score_wires
 
 __all__ = ["AsyncIngestServer"]
@@ -61,8 +63,6 @@ _MAX_BODY = MAX_PAYLOAD_BYTES + 128
 
 # Hard parse limits: a request line + headers beyond this is hostile.
 _MAX_HEAD = 8192
-
-_RETRY_AFTER_SECONDS = "1"
 
 
 def _render(status: str, headers: List[Tuple[str, str]], body: bytes,
@@ -78,6 +78,12 @@ def _render(status: str, headers: List[Tuple[str, str]], body: bytes,
         lines.append(f"Content-Length: {len(body)}")
     lines.append("Connection: " + ("keep-alive" if keep_alive else "close"))
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _render_json(status: str, body: bytes,
+                 extra_headers: Iterable[Tuple[str, str]] = ()) -> bytes:
+    """A scored answer, with the WSGI app's own JSON headers."""
+    return _render(status, json_headers(body, extra_headers), body, True)
 
 
 def _error(status: str, message: str, keep_alive: bool) -> bytes:
@@ -470,44 +476,16 @@ class AsyncIngestServer:
     def _score_batch(self, wires: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses."""
         return [
-            self._render_verdict(v) for v in score_wires(self.service, wires)
+            _render_json(*collect_response(verdict))
+            for verdict in score_wires(self.service, wires)
         ]
 
     def _score_events(self, wires: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses."""
-        rendered = []
-        for observation in self.app.sessions.observe_many(wires):
-            status, body = event_response(observation)
-            rendered.append(_render(
-                status, [("Content-Type", "application/json")], body, True
-            ))
-        return rendered
-
-    @staticmethod
-    def _render_verdict(verdict) -> bytes:
-        """Mirror ``CollectionApp._collect`` status + document exactly."""
-        import json
-
-        from repro.runtime.pool import OVERLOADED_REASON
-
-        document = {
-            "accepted": verdict.accepted,
-            "flagged": verdict.flagged,
-            "risk_factor": verdict.risk_factor,
-            "latency_ms": round(verdict.latency_ms, 3),
-        }
-        headers = [("Content-Type", "application/json")]
-        if not verdict.accepted:
-            document["reject_reason"] = verdict.reject_reason
-            if verdict.reject_reason == OVERLOADED_REASON:
-                headers.append(("Retry-After", _RETRY_AFTER_SECONDS))
-                status = "503 Service Unavailable"
-            else:
-                status = "400 Bad Request"
-        else:
-            status = "202 Accepted"
-        body = json.dumps(document).encode("utf-8")
-        return _render(status, headers, body, True)
+        return [
+            _render_json(*event_response(observation))
+            for observation in self.app.sessions.observe_many(wires)
+        ]
 
     def _deliver(self, done, futures: List[asyncio.Future]) -> None:
         """Executor-completion callback; runs on the event loop."""

@@ -41,7 +41,12 @@ from typing import Callable, Iterable, List, Tuple
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.service.scoring import ScoringService
 
-__all__ = ["CollectionApp", "event_response"]
+__all__ = [
+    "CollectionApp",
+    "collect_response",
+    "event_response",
+    "json_headers",
+]
 
 # Shed traffic should come back, just not immediately: the runtime's
 # queue drains in milliseconds, so a short client backoff suffices.
@@ -49,9 +54,54 @@ _RETRY_AFTER_SECONDS = "1"
 
 # The WSGI body cap IS the wire-contract cap (paper Section 3's 1KB
 # budget): anything larger would be quarantined as OVERSIZED by the
-# validator anyway, so reading it off the socket only buys an attacker
-# free memory.  Deriving it keeps the two caps from silently diverging.
+# wire contract anyway, so reading it off the socket only buys an
+# attacker free memory.  Deriving it keeps the two caps from silently
+# diverging.
 _MAX_BODY = MAX_PAYLOAD_BYTES
+
+
+def collect_response(verdict) -> Tuple[str, bytes, List[Tuple[str, str]]]:
+    """Status line, JSON body and extra headers answering ``POST /collect``.
+
+    ``202`` for an accepted payload, ``400`` with the reject reason for
+    a rejected one, and ``503`` plus ``Retry-After`` when the scoring
+    tier shed the request.  The WSGI app and the async front end both
+    answer ``/collect`` through this, so they stay byte-identical.
+    """
+    document = {
+        "accepted": verdict.accepted,
+        "flagged": verdict.flagged,
+        "risk_factor": verdict.risk_factor,
+        "latency_ms": round(verdict.latency_ms, 3),
+    }
+    status = "202 Accepted"
+    headers: List[Tuple[str, str]] = []
+    if not verdict.accepted:
+        # Imported here: repro.runtime imports this package's
+        # scoring types, so a module-level import would be circular.
+        from repro.runtime.pool import OVERLOADED_REASON
+
+        document["reject_reason"] = verdict.reject_reason
+        status = "400 Bad Request"
+        if verdict.reject_reason == OVERLOADED_REASON:
+            # Overload is the server's condition, not the payload's:
+            # 503 + Retry-After tells a well-behaved client to back
+            # off briefly instead of treating the session as bad.
+            status = "503 Service Unavailable"
+            headers.append(("Retry-After", _RETRY_AFTER_SECONDS))
+    return status, json.dumps(document).encode("utf-8"), headers
+
+
+def json_headers(
+    body: bytes, extra_headers: Iterable[Tuple[str, str]] = ()
+) -> List[Tuple[str, str]]:
+    """The headers of every JSON answer: type, length, then ``extra``."""
+    headers = [
+        ("Content-Type", "application/json"),
+        ("Content-Length", str(len(body))),
+    ]
+    headers.extend(extra_headers)
+    return headers
 
 
 def event_response(observation) -> Tuple[str, bytes]:
@@ -138,31 +188,9 @@ class CollectionApp:
                 start_response, "400 Bad Request", {"error": "bad content length"}
             )
         body = environ["wsgi.input"].read(length)
-        verdict = self.service.score_wire(body)
-        document = {
-            "accepted": verdict.accepted,
-            "flagged": verdict.flagged,
-            "risk_factor": verdict.risk_factor,
-            "latency_ms": round(verdict.latency_ms, 3),
-        }
-        if not verdict.accepted:
-            # Imported here: repro.runtime imports this package's
-            # scoring types, so a module-level import would be circular.
-            from repro.runtime.pool import OVERLOADED_REASON
-
-            document["reject_reason"] = verdict.reject_reason
-            if verdict.reject_reason == OVERLOADED_REASON:
-                # Overload is the server's condition, not the payload's:
-                # 503 + Retry-After tells a well-behaved client to back
-                # off briefly instead of treating the session as bad.
-                return self._respond(
-                    start_response,
-                    "503 Service Unavailable",
-                    document,
-                    extra_headers=[("Retry-After", _RETRY_AFTER_SECONDS)],
-                )
-            return self._respond(start_response, "400 Bad Request", document)
-        return self._respond(start_response, "202 Accepted", document)
+        return self._send(
+            start_response, *collect_response(self.service.score_wire(body))
+        )
 
     def _check(self, environ: dict, start_response: Callable) -> List[bytes]:
         if getattr(self.service, "fusion", None) is None:
@@ -326,7 +354,7 @@ class CollectionApp:
         return self._respond(start_response, "200 OK", status())
 
     def _metrics(self, start_response: Callable) -> List[bytes]:
-        quarantine = self.service.validator.quarantine
+        quarantine = self.service.quarantine
         lines = [
             "# TYPE polygraph_sessions_scored counter",
             f"polygraph_sessions_scored {self.service.scored_count}",
@@ -337,7 +365,7 @@ class CollectionApp:
         ]
         for reason, count in sorted(quarantine.counts().items()):
             lines.append(
-                f'polygraph_payloads_rejected_by_reason{{reason="{reason.value}"}} {count}'
+                f'polygraph_payloads_rejected_by_reason{{reason="{reason}"}} {count}'
             )
         # The high-throughput runtime contributes its own registry
         # (cache hit rate, batch sizes, queue depth, stage latencies).
@@ -396,10 +424,5 @@ class CollectionApp:
         body: bytes,
         extra_headers: Iterable[Tuple[str, str]] = (),
     ) -> List[bytes]:
-        headers = [
-            ("Content-Type", "application/json"),
-            ("Content-Length", str(len(body))),
-        ]
-        headers.extend(extra_headers)
-        start_response(status, headers)
+        start_response(status, json_headers(body, extra_headers))
         return [body]

@@ -1,8 +1,9 @@
 """Real-time scoring service.
 
 Glues the pieces into the online path the paper deploys: wire payload →
-validation → (optional) persistence → model verdict, with end-to-end
-latency accounting against the Section 3 budget of 100ms.
+wire contract (:class:`~repro.runtime.fastingest.WireIngest`) →
+(optional) persistence → model verdict, with end-to-end latency
+accounting against the Section 3 budget of 100ms.
 """
 
 from __future__ import annotations
@@ -10,13 +11,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.coverage.tracker import vendor_of
-from repro.service.ingest import IngestResult, PayloadValidator
+from repro.fingerprint.script import FingerprintPayload
 from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
+
+if TYPE_CHECKING:
+    from repro.runtime.fastingest import WireIngest
 
 __all__ = ["ScoringService", "Verdict", "score_wires"]
 
@@ -61,9 +65,11 @@ class ScoringService:
     ----------
     polygraph:
         A fitted :class:`~repro.core.pipeline.BrowserPolygraph`.
-    validator:
-        Wire-contract enforcement; a default validator is created if
-        omitted.
+    ingest:
+        The wire contract
+        (:class:`~repro.runtime.fastingest.WireIngest`: dedup window,
+        counters, and the ``quarantine`` reject ledger); a default one
+        is created if omitted.
     store:
         Optional durable store; accepted payloads are appended so the
         next training window can be exported later.
@@ -76,14 +82,19 @@ class ScoringService:
     def __init__(
         self,
         polygraph: BrowserPolygraph,
-        validator: Optional[PayloadValidator] = None,
+        ingest: Optional[WireIngest] = None,
         store: Optional[SessionStore] = None,
         fusion=None,
     ) -> None:
         if not polygraph.is_fitted:
             raise ValueError("ScoringService requires a fitted BrowserPolygraph")
+        # Imported here: repro.runtime imports this module, so a
+        # module-level import would be circular.
+        from repro.runtime.fastingest import WireIngest
+
         self.polygraph = polygraph
-        self.validator = validator if validator is not None else PayloadValidator()
+        self.ingest = ingest if ingest is not None else WireIngest()
+        self.quarantine = self.ingest.quarantine
         self.store = store
         self.fusion = None
         self.coverage = None
@@ -138,17 +149,18 @@ class ScoringService:
         arm; it is ignored when no arm is attached.
         """
         started = time.perf_counter()
-        ingest: IngestResult = self.validator.ingest_wire(wire)
-        if not ingest.accepted:
+        rejected, fields = self.ingest.ingest(wire)
+        if rejected is not None:
             return Verdict(
                 session_id="",
                 accepted=False,
                 flagged=False,
                 risk_factor=None,
-                reject_reason=ingest.reason.value if ingest.reason else "unknown",
+                reject_reason=rejected.value,
                 latency_ms=(time.perf_counter() - started) * 1000.0,
             )
-        payload = ingest.payload
+        session_id, user_agent, values, globs, _ = fields
+        payload = FingerprintPayload(session_id, user_agent, values, 0.0, globs)
         if self.store is not None:
             self.store.append(payload, day=day)
         result = self.polygraph.detect_payload(payload)

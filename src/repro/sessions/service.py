@@ -47,7 +47,11 @@ from repro.sessions.store import SessionEventLog
 from repro.sessions.tracker import EventRecord, SessionState, SessionTracker
 from repro.traffic.events import EventType, SessionEvent
 
-__all__ = ["SessionObservation", "SessionScoringService"]
+__all__ = [
+    "SessionObservation",
+    "SessionScoringService",
+    "session_metrics_lines",
+]
 
 _DETECT_MEMO_LIMIT = 8192
 
@@ -439,27 +443,35 @@ class SessionScoringService:
 
     def metrics_lines(self) -> List[str]:
         """Prometheus-style ``polygraph_session_*`` lines."""
-        tracker_stats = self.tracker.stats()
-        with self._lock:
-            lines = [
-                "# TYPE polygraph_session_active gauge",
-                f"polygraph_session_active {tracker_stats['active_sessions']}",
-                "# TYPE polygraph_session_events_total counter",
-                f"polygraph_session_events_total {self.events_total}",
-                "# TYPE polygraph_session_revisions_total counter",
-                f"polygraph_session_revisions_total {self.revisions_total}",
-                "# TYPE polygraph_session_escalations_total counter",
-                f"polygraph_session_escalations_total {self.escalations_total}",
-                "# TYPE polygraph_session_evictions_total counter",
-                "polygraph_session_evictions_total"
-                f"{{kind=\"ttl\"}} {tracker_stats['evicted_ttl']}",
-                "polygraph_session_evictions_total"
-                f"{{kind=\"capacity\"}} {tracker_stats['evicted_capacity']}",
-            ]
-            lines.append("# TYPE polygraph_session_revision_reason_total counter")
-            for reason, count in sorted(self.revision_reasons.items()):
-                lines.append(
-                    "polygraph_session_revision_reason_total"
-                    f"{{reason=\"{reason}\"}} {count}"
-                )
-        return lines
+        return session_metrics_lines(self.status_dict())
+
+
+def session_metrics_lines(status: dict) -> List[str]:
+    """The ``polygraph_session_*`` block for a session-layer status.
+
+    ``status`` is a :meth:`SessionScoringService.status_dict` document,
+    or the cluster's aggregate of its lanes' — so dashboards read the
+    same series whatever the deployment shape.
+    """
+    lines = [
+        "# TYPE polygraph_session_active gauge",
+        f"polygraph_session_active {status['active_sessions']}",
+        "# TYPE polygraph_session_events_total counter",
+        f"polygraph_session_events_total {status['events_total']}",
+        "# TYPE polygraph_session_revisions_total counter",
+        f"polygraph_session_revisions_total {status['revisions_total']}",
+        "# TYPE polygraph_session_escalations_total counter",
+        f"polygraph_session_escalations_total {status['escalations_total']}",
+        "# TYPE polygraph_session_evictions_total counter",
+        "polygraph_session_evictions_total"
+        f"{{kind=\"ttl\"}} {status['evicted_ttl']}",
+        "polygraph_session_evictions_total"
+        f"{{kind=\"capacity\"}} {status['evicted_capacity']}",
+        "# TYPE polygraph_session_revision_reason_total counter",
+    ]
+    for reason, count in sorted(status["revision_reasons"].items()):
+        lines.append(
+            "polygraph_session_revision_reason_total"
+            f"{{reason=\"{reason}\"}} {count}"
+        )
+    return lines

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fingerprint.script import FingerprintPayload
+from repro.fingerprint.script import WIRE_PARSE_ERRORS, FingerprintPayload
 from repro.traffic.dataset import Dataset
 
 __all__ = [
@@ -155,7 +155,7 @@ class SessionEvent:
                     str(g) for g in body.get("g", ())
                 ),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except WIRE_PARSE_ERRORS as exc:
             raise ValueError(f"malformed session event: {exc}") from exc
 
 

@@ -21,10 +21,11 @@ import time
 import pytest
 
 from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
+from repro.runtime.service import RuntimeScoringService
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.service.scoring import ScoringService
+from repro.service.scoring import ScoringService, Verdict
 from repro.sessions import SessionScoringService
 from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_wire_payloads
@@ -179,6 +180,56 @@ class TestCollectParity:
             assert headers.get("Retry-After") == "1"
             assert json.loads(payload)["reject_reason"] == OVERLOADED_REASON
 
+    def test_overflowing_wire_leaves_its_batch_intact(self, trained, wires):
+        """One ``1e999`` feature among 21 pipelined wires in one batch.
+
+        Every answer must equal the per-request reference, the hostile
+        wire's included (400 malformed); and a session id may come back
+        ``duplicate`` on retry only if its first try got a verdict.
+        """
+        innocent = wires[100:120]
+        hostile = innocent[0].replace(b'"f":[', b'"f":[1e999,', 1)
+        hostile = hostile.replace(b'"sid":"', b'"sid":"hostile-', 1)
+        mixed = innocent[:10] + [hostile] + innocent[10:]
+        reference = ScoringService(trained)
+        expected = []
+        for wire in innocent:
+            verdict = reference.score_wire(wire)
+            expected.append((
+                "202" if verdict.accepted else "400",
+                verdict.accepted,
+                verdict.flagged,
+                verdict.risk_factor,
+                verdict.reject_reason,
+            ))
+        expected.insert(10, ("400", False, False, None, "malformed"))
+        runtime = RuntimeScoringService(trained).start()
+        try:
+            with _serve(runtime, batch_max=64, linger_ms=20.0) as server:
+                first = _pipeline(
+                    server.port, [("POST", "/collect", w) for w in mixed]
+                )
+                retried = _pipeline(
+                    server.port,
+                    [("POST", "/collect", w) for w in innocent[:3]],
+                )
+        finally:
+            runtime.shutdown()
+        actual = []
+        for line, payload in first:
+            document = json.loads(payload)
+            actual.append((
+                line.split(" ", 2)[1],
+                document.get("accepted"),
+                document.get("flagged"),
+                document.get("risk_factor"),
+                document.get("reject_reason"),
+            ))
+        assert actual == expected
+        for (line, _), (_, payload) in zip(first, retried):
+            if json.loads(payload).get("reject_reason") == "duplicate":
+                assert line.split(" ", 2)[1] == "202"
+
     def test_post_without_length_is_411(self, trained):
         with _serve(ScoringService(trained)) as server:
             with socket.create_connection(
@@ -187,6 +238,75 @@ class TestCollectParity:
                 sock.sendall(b"POST /collect HTTP/1.1\r\nHost: t\r\n\r\n")
                 reply = sock.recv(65536)
             assert reply.startswith(b"HTTP/1.1 411")
+
+
+class _Scripted:
+    """A scoring tier whose verdict is chosen by the request body."""
+
+    scored_count = 0
+    flagged_count = 0
+
+    def __init__(self):
+        self.verdicts = {
+            b"ok": Verdict("s-ok", True, True, 3, None, 1.23456),
+            b"bad": Verdict("", False, False, None, "malformed", 0.5),
+            b"shed": overloaded_verdict("s-shed", 7.0),
+        }
+
+    def score_wire(self, wire, day=None):
+        return self.verdicts[wire]
+
+    def score_many(self, wires):
+        return [self.score_wire(wire) for wire in wires]
+
+
+def _raw_response(port, method, path, body=b""):
+    """One request; ``(status, [(header, value), ...], body)`` as sent."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1") + body
+        )
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            reply += sock.recv(65536)
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = [tuple(line.split(": ", 1)) for line in lines]
+        length = int(dict(headers)["Content-Length"])
+        while len(payload) < length:
+            payload += sock.recv(65536)
+    return status_line.split(" ", 1)[1], headers, payload
+
+
+class TestCollectRendering:
+    @pytest.mark.parametrize("body", [b"ok", b"bad", b"shed"])
+    def test_both_front_ends_answer_byte_for_byte(self, body):
+        """202, 400 and 503 + Retry-After: one renderer behind both."""
+        service = _Scripted()
+        captured = []
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": "/collect",
+            "CONTENT_LENGTH": str(len(body)),
+            "wsgi.input": io.BytesIO(body),
+        }
+        wsgi_body = b"".join(CollectionApp(service)(
+            environ, lambda status, headers: captured.extend([status, headers])
+        ))
+        with _serve(service) as server:
+            status, headers, payload = _raw_response(
+                server.port, "POST", "/collect", body
+            )
+        wsgi_status, wsgi_headers = captured
+        assert (status, headers, payload) == (
+            wsgi_status,
+            list(wsgi_headers) + [("Connection", "keep-alive")],
+            wsgi_body,
+        )
+        if body == b"shed":
+            assert status.startswith("503")
+            assert ("Retry-After", "1") in headers
 
 
 class TestWsgiPassthrough:

@@ -22,6 +22,7 @@ from repro.service.scoring import ScoringService
 from repro.sessions import SessionScoringService
 from repro.traffic.events import (
     EventStreamConfig,
+    StreamScenario,
     build_event_streams,
     interleave_events,
 )
@@ -196,6 +197,37 @@ class TestClusterSessionParity:
                 f'polygraph_session_active_by_shard{{shard="{shard_id}"}}'
                 in text
             )
+
+    def test_one_lane_renders_the_single_process_block(
+        self, trained, streams
+    ):
+        """Same events, same ``polygraph_session_*`` lines, plus one gauge."""
+        supervisor = ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=1, heartbeat_interval_s=5.0)
+        )
+        router = ClusterRouter(supervisor).start()
+        try:
+            sharded = ClusterSessionService(router, ttl_seconds=1e9)
+            single = SessionScoringService(
+                ScoringService(trained), ttl_seconds=1e9
+            )
+            # Streams that change surface mid-session, so revisions and
+            # escalations show up in the block.
+            swaps = [
+                s for s in streams if s.scenario is StreamScenario.ENGINE_SWAP
+            ][:4] + streams[:4]
+            _observe_all(sharded, swaps)
+            _observe_all(single, swaps)
+            lines = sharded.metrics_lines()
+        finally:
+            router.shutdown()
+        (shard_id,) = supervisor.shards
+        assert single.revisions_total > 0
+        assert lines == single.metrics_lines() + [
+            "# TYPE polygraph_session_active_by_shard gauge",
+            f'polygraph_session_active_by_shard{{shard="{shard_id}"}} '
+            f"{single.tracker.stats()['active_sessions']}",
+        ]
 
 
 class TestEventLogSubdirectories:

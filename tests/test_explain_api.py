@@ -14,7 +14,7 @@ from repro.fingerprint.script import CollectionScript
 from repro.fraudbrowsers.base import FraudProfile
 from repro.fraudbrowsers.catalog import fraud_browser
 from repro.service.api import CollectionApp
-from repro.service.ingest import PayloadValidator
+from repro.runtime.fastingest import WireIngest
 from repro.service.scoring import ScoringService
 
 
@@ -103,7 +103,7 @@ class TestCollectionApp:
     @pytest.fixture(scope="class")
     def app(self, trained):
         service = ScoringService(
-            trained, validator=PayloadValidator(dedup_window=0)
+            trained, ingest=WireIngest(dedup_window=0)
         )
         return CollectionApp(service)
 
@@ -186,7 +186,7 @@ class TestHttpRoundtrip:
                 pass
 
         service = ScoringService(
-            trained, validator=PayloadValidator(dedup_window=0)
+            trained, ingest=WireIngest(dedup_window=0)
         )
         server = make_server(
             "127.0.0.1", 0, CollectionApp(service), handler_class=QuietHandler

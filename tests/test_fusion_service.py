@@ -15,7 +15,7 @@ from repro.fusion.policy import (
     FusionPolicyConfig,
 )
 from repro.service.api import CollectionApp
-from repro.service.ingest import PayloadValidator
+from repro.runtime.fastingest import WireIngest
 from repro.service.scoring import ScoringService
 from repro.sessions.service import SessionScoringService
 from repro.traffic.events import EventType, SessionEvent
@@ -322,7 +322,7 @@ class TestFusionEndpoints:
     def app(self, trained, fusion_model):
         service = ScoringService(
             trained,
-            validator=PayloadValidator(dedup_window=0),
+            ingest=WireIngest(dedup_window=0),
             fusion=FusionArm(fusion_model),
         )
         return CollectionApp(service)

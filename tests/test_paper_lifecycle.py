@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import BrowserPolygraph
-from repro.service.ingest import PayloadValidator
+from repro.runtime.fastingest import WireIngest
 from repro.service.monitoring import DriftScheduler, FlagRateMonitor
 from repro.service.scoring import ScoringService
 from repro.traffic.dataset import Dataset
@@ -35,8 +35,7 @@ class TestLifecycle:
         assert polygraph.accuracy > 0.985
 
         # --- 2. online serving (Sections 3 + 6.5) --------------------
-        validator = PayloadValidator(dedup_window=0)
-        service = ScoringService(polygraph, validator=validator)
+        service = ScoringService(polygraph, ingest=WireIngest(dedup_window=0))
         monitor = FlagRateMonitor(window=3000, min_observations=1000)
         subset = small_dataset.subset(np.arange(3000))
         for wire in iter_wire_payloads(subset):
@@ -74,7 +73,7 @@ class TestLifecycle:
     ):
         subset = small_dataset.subset(np.arange(400))
         batch = trained.detect(subset)
-        service = ScoringService(trained, validator=PayloadValidator(dedup_window=0))
+        service = ScoringService(trained, ingest=WireIngest(dedup_window=0))
         online_flags = [
             service.score_wire(wire).flagged
             for wire in iter_wire_payloads(subset)

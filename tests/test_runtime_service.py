@@ -15,7 +15,6 @@ from repro.runtime.pool import Overloaded
 from repro.runtime.service import RuntimeConfig, RuntimeScoringService
 from repro.service.api import CollectionApp
 from repro.service.api import _MAX_BODY as API_MAX_BODY
-from repro.service.ingest import PayloadValidator
 from repro.service.scoring import ScoringService
 from repro.traffic.replay import iter_payloads
 
@@ -112,18 +111,38 @@ class TestVerdictParity:
             _wire("dup-1"),
             _wire("dup-1"),                                # duplicate session
         ]
-        baseline = ScoringService(trained, validator=PayloadValidator())
-        service = RuntimeScoringService(trained, validator=PayloadValidator())
+        baseline = ScoringService(trained)
+        service = RuntimeScoringService(trained)
         try:
             expected = [_fields(baseline.score_wire(w)) for w in hostile]
             actual = [_fields(service.score_wire(w)) for w in hostile]
+            reject_lines = [
+                [
+                    line
+                    for line in _wsgi(CollectionApp(svc), "GET", "/metrics")[2]
+                    .decode()
+                    .splitlines()
+                    if line.startswith("polygraph_payloads_rejected")
+                ]
+                for svc in (baseline, service)
+            ]
         finally:
             service.shutdown()
         assert actual == expected
-        assert (
-            service.validator.quarantine.counts()
-            == baseline.validator.quarantine.counts()
-        )
+        assert service.quarantine.counts() == baseline.quarantine.counts()
+        # Reason *and* detail of every reject, not just the tallies.
+        assert service.quarantine.entries() == baseline.quarantine.entries()
+        assert reject_lines[0] == reject_lines[1] == [
+            "polygraph_payloads_rejected 12",
+            'polygraph_payloads_rejected_by_reason{reason="bad_session_id"} 2',
+            'polygraph_payloads_rejected_by_reason{reason="duplicate"} 1',
+            'polygraph_payloads_rejected_by_reason{reason="globals_overflow"} 1',
+            'polygraph_payloads_rejected_by_reason{reason="malformed"} 4',
+            'polygraph_payloads_rejected_by_reason{reason="oversized"} 1',
+            'polygraph_payloads_rejected_by_reason{reason="unparseable_ua"} 1',
+            'polygraph_payloads_rejected_by_reason{reason="value_range"} 1',
+            'polygraph_payloads_rejected_by_reason{reason="wrong_arity"} 1',
+        ]
 
     def test_wire_memo_fast_path_matches(self, trained, runtime):
         baseline = ScoringService(trained)

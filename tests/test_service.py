@@ -10,7 +10,8 @@ from repro.browsers.profiles import BrowserProfile
 from repro.browsers.releases import default_calendar
 from repro.browsers.useragent import Vendor
 from repro.fingerprint.script import CollectionScript, FingerprintPayload
-from repro.service.ingest import PayloadValidator, QuarantineLog, RejectReason
+from repro.runtime.fastingest import WireIngest
+from repro.service.ingest import QuarantineLog, RejectReason
 from repro.service.monitoring import DriftScheduler, FlagRateMonitor
 from repro.service.scoring import ScoringService
 from repro.service.storage import SessionStore
@@ -24,75 +25,86 @@ def _payload(session_id="s-1", vendor=Vendor.CHROME, version=112):
 
 
 class TestValidator:
+    """The wire contract, as enforced by :class:`WireIngest`."""
+
     def test_accepts_genuine_payload(self):
-        validator = PayloadValidator()
-        result = validator.ingest_wire(_payload().to_wire())
-        assert result.accepted
-        assert result.payload.session_id == "s-1"
-        assert validator.accepted_count == 1
+        ingest = WireIngest()
+        reason, fields = ingest.ingest(_payload().to_wire())
+        assert reason is None
+        assert fields[0] == "s-1"
+        assert ingest.accepted_count == 1
 
     def test_rejects_oversized(self):
-        validator = PayloadValidator()
-        result = validator.ingest_wire(b"x" * 2000)
-        assert not result.accepted
-        assert result.reason is RejectReason.OVERSIZED
+        ingest = WireIngest()
+        assert ingest.ingest(b"x" * 2000) == (RejectReason.OVERSIZED, None)
 
     def test_rejects_malformed_json(self):
-        validator = PayloadValidator()
-        assert validator.ingest_wire(b"{oops").reason is RejectReason.MALFORMED
+        ingest = WireIngest()
+        assert ingest.ingest(b"{oops")[0] is RejectReason.MALFORMED
 
     def test_rejects_wrong_arity(self):
-        validator = PayloadValidator()
+        ingest = WireIngest()
         bad = FingerprintPayload("s-2", _payload().user_agent, (1, 2, 3), 0.0)
-        assert validator.ingest_payload(bad).reason is RejectReason.WRONG_ARITY
+        assert ingest.ingest(bad.to_wire())[0] is RejectReason.WRONG_ARITY
 
     def test_rejects_out_of_range_values(self):
-        validator = PayloadValidator()
+        ingest = WireIngest()
         good = _payload("s-3")
         bad = FingerprintPayload(
             "s-3", good.user_agent, (-5,) + good.values[1:], 0.0
         )
-        assert validator.ingest_payload(bad).reason is RejectReason.VALUE_RANGE
+        assert ingest.ingest(bad.to_wire())[0] is RejectReason.VALUE_RANGE
 
     def test_rejects_unparseable_ua(self):
-        validator = PayloadValidator()
+        ingest = WireIngest()
         good = _payload("s-4")
         bad = FingerprintPayload("s-4", "curl/8.0", good.values, 0.0)
-        assert validator.ingest_payload(bad).reason is RejectReason.UNPARSEABLE_UA
+        assert ingest.ingest(bad.to_wire())[0] is RejectReason.UNPARSEABLE_UA
 
     def test_rejects_bad_session_id(self):
-        validator = PayloadValidator()
+        ingest = WireIngest()
         good = _payload("s-5")
         bad = FingerprintPayload("x" * 80, good.user_agent, good.values, 0.0)
-        assert validator.ingest_payload(bad).reason is RejectReason.BAD_SESSION_ID
+        assert ingest.ingest(bad.to_wire())[0] is RejectReason.BAD_SESSION_ID
 
     def test_rejects_replayed_session_id(self):
-        validator = PayloadValidator()
+        ingest = WireIngest()
         wire = _payload("s-6").to_wire()
-        assert validator.ingest_wire(wire).accepted
-        assert validator.ingest_wire(wire).reason is RejectReason.DUPLICATE
+        assert ingest.ingest(wire)[0] is None
+        assert ingest.ingest(wire)[0] is RejectReason.DUPLICATE
 
     def test_dedup_window_expires(self):
-        validator = PayloadValidator(dedup_window=2)
+        ingest = WireIngest(dedup_window=2)
         for sid in ("a", "b", "c"):
-            assert validator.ingest_payload(_payload(sid)).accepted
+            assert ingest.ingest(_payload(sid).to_wire())[0] is None
         # "a" fell out of the window, so a replay of it is accepted again.
-        assert validator.ingest_payload(_payload("a")).accepted
+        assert ingest.ingest(_payload("a").to_wire())[0] is None
 
     def test_batch_preserves_order(self):
-        validator = PayloadValidator()
+        ingest = WireIngest()
         wires = [_payload("b-1").to_wire(), b"garbage", _payload("b-2").to_wire()]
-        results = validator.ingest_batch(wires)
-        assert [r.accepted for r in results] == [True, False, True]
+        outcomes = ingest.ingest_many(wires)
+        assert [isinstance(o, tuple) for o in outcomes] == [True, False, True]
 
     def test_quarantine_counts(self):
         quarantine = QuarantineLog(capacity=2)
-        validator = PayloadValidator(quarantine=quarantine)
+        ingest = WireIngest(quarantine=quarantine)
         for _ in range(3):
-            validator.ingest_wire(b"junk")
+            ingest.ingest(b"junk")
         assert quarantine.total_rejects == 3
         assert len(quarantine.entries()) == 2  # capped retention
         assert quarantine.counts()[RejectReason.MALFORMED] == 3
+
+    def test_quarantine_counts_reasons_outside_the_contract(self):
+        quarantine = QuarantineLog()
+        quarantine.record(RejectReason.MALFORMED, "x")
+        quarantine.record("malformed")
+        quarantine.record("internal_error: RuntimeError")
+        assert quarantine.counts() == {
+            "malformed": 2,
+            "internal_error: RuntimeError": 1,
+        }
+        assert quarantine.total_rejects == 3
 
 
 class TestSessionStore:

@@ -177,25 +177,18 @@ class TestIngestManyParity:
         bulk.ingest_many(mixed)
         assert bulk.requests_total == sequential.requests_total
         assert bulk.rejected_count == sequential.rejected_count
-        assert (
-            bulk.validator.accepted_count
-            == sequential.validator.accepted_count
-        )
-        assert (
-            bulk.validator.quarantine.counts()
-            == sequential.validator.quarantine.counts()
-        )
+        assert bulk.accepted_count == sequential.accepted_count
+        assert bulk.quarantine.counts() == sequential.quarantine.counts()
+        assert bulk.quarantine.entries() == sequential.quarantine.entries()
 
     def test_bulk_dedup_window_evicts_like_sequential(self, wires):
         # A window of 3 with 5 admitted wires: the first two fall out,
         # so re-sending them is NOT a duplicate, but the last is.
-        from repro.service.ingest import PayloadValidator
-
         sample = wires[:5]
         replay = [sample[0], sample[4]]
-        sequential = WireIngest(PayloadValidator(dedup_window=3))
+        sequential = WireIngest(dedup_window=3)
         expected = [sequential.ingest(w)[0] for w in sample + replay]
-        bulk = WireIngest(PayloadValidator(dedup_window=3))
+        bulk = WireIngest(dedup_window=3)
         outcomes = bulk.ingest_many(sample + replay)
         assert [
             o if isinstance(o, RejectReason) else None for o in outcomes
